@@ -1,8 +1,8 @@
 """Run bench/run.py over several seeds and report each metric's median and
 its quartile spread (Q3 - Q1) / median, the figure BENCHMARK.json's bounds
-are set from.
+are set from.  Each run measures BENCHMARK.json's `run_seconds`, untraced.
 
-    python3 bench/spread.py --workloads train-default decode --seeds 1-10 --seconds 20
+    python3 bench/spread.py --workloads train-default decode --seeds 1-10
 
 Runs are sequential, one process at a time.  Raw results are appended, one
 JSON line per run, to .bench_out/spread.jsonl.
@@ -17,6 +17,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 OUTPUT = HERE.parent / ".bench_out"
+SECONDS = str(json.loads((HERE.parent / "BENCHMARK.json").read_text())["run_seconds"])
 
 
 def seed_range(text: str) -> list[int]:
@@ -28,8 +29,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workloads", nargs="+", required=True)
     parser.add_argument("--seeds", type=seed_range, default=seed_range("1-10"))
-    parser.add_argument("--seconds", default="20")
-    parser.add_argument("--trace", default="0")
     args = parser.parse_args()
     OUTPUT.mkdir(exist_ok=True)
     failed = False
@@ -40,7 +39,7 @@ def main() -> int:
             started = time.perf_counter()
             proc = subprocess.run(
                 [sys.executable, str(HERE / "run.py"), "--workload", workload,
-                 "--seed", str(seed), "--seconds", args.seconds, "--trace", args.trace],
+                 "--seed", str(seed), "--seconds", SECONDS, "--trace", "0"],
                 capture_output=True, text=True, timeout=600)
             elapsed = time.perf_counter() - started
             lines = proc.stdout.strip().splitlines()
@@ -57,8 +56,8 @@ def main() -> int:
             for name, metric in result["metrics"].items():
                 values.setdefault(name, []).append(metric["value"])
             print(f"{workload} seed {seed}: {elapsed:.1f} s  " + "  ".join(
-                f"{name}={metric['value']:.4g}" for name, metric in result["metrics"].items()
-                if args.trace == "0"), flush=True)
+                f"{name}={metric['value']:.4g}" for name, metric in result["metrics"].items()),
+                flush=True)
         for name, series in values.items():
             if len(series) < 2:
                 continue

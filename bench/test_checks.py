@@ -33,12 +33,25 @@ def test_decode_check_rejects_a_changed_hypothesis_or_rate(cfg, model, tmp_path)
     dataset = data.generate_dataset(cfg.task, "test")
     result = trainer.evaluate(trainer.load_checkpoint(path), dataset)
     blob = path.read_bytes()
-    assert reference.check_decode(blob, dataset, result.decodes, result.rate) == []
+    assert reference.check_decode(blob, dataset, result.decodes, result.rate) == ([], 0)
 
     changed = list(result.decodes)
     changed[3] = changed[3] + (1,)
-    assert reference.check_decode(blob, dataset, changed, result.rate)
-    assert reference.check_decode(blob, dataset, result.decodes, result.rate + 1e-9)
+    assert reference.check_decode(blob, dataset, changed, result.rate)[0]
+    assert reference.check_decode(blob, dataset, result.decodes, result.rate + 1e-9)[0]
+
+
+def test_a_near_tie_excuses_only_its_own_frame():
+    clear, tied = -5.0, -1e-4
+    log_post = np.array([[clear, 0.0, clear, clear],   # 1, clearly
+                         [0.0, clear, tied, clear],    # blank or 2
+                         [clear, clear, clear, 0.0]])  # 3, clearly
+    assert reference.greedy(log_post) == (1, 3)
+    assert reference.greedy_with_ties(log_post, (1, 3))
+    assert reference.greedy_with_ties(log_post, (1, 2, 3))
+    assert not reference.greedy_with_ties(log_post, (1, 2))
+    assert not reference.greedy_with_ties(log_post, (2, 3))
+    assert not reference.greedy_with_ties(log_post, (1, 3, 3))
 
 
 def test_ctc_check_rejects_a_perturbed_loss_or_gradient():
