@@ -5,7 +5,9 @@
 Each run builds its inputs from --seed, warms the host up with untimed
 load, then times a fixed amount of work sized by --seconds in CALLS whole
 calls, each after its own timed set-up, checks the program's outputs against
-bench/reference.py, and prints one JSON line last.  With --trace 0 it reports the end-to-end
+bench/reference.py, and prints one JSON line last.  Untraced, the timed
+calls run under `HostSpeed`, which samples the host's speed while they run
+and scales their times to a reference speed.  With --trace 0 it reports the end-to-end
 metrics; with --trace 1 it wraps the program's modules (bench/tracing.py) and
 reports per-layer metrics instead.  See bench/README.md.
 """
@@ -20,12 +22,14 @@ import argparse  # noqa: E402
 import gc  # noqa: E402
 import json  # noqa: E402
 import resource  # noqa: E402
+import signal  # noqa: E402
 import shutil  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+from contextlib import contextmanager  # noqa: E402
 from dataclasses import dataclass  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -49,34 +53,34 @@ import tracing  # noqa: E402
 @dataclass(frozen=True)
 class Workload:
     config: str          # key=value lines on top of ctclab's defaults
-    utts_per_s: float    # reference rate that turns --seconds into a work size
+    utts_per_s: float    # rate at the reference host speed: turns --seconds into work
     epochs: int = 2
     dev_size: int = 64
 
 
 WORKLOADS = {
-    "train-default": Workload("", utts_per_s=150.0),
+    "train-default": Workload("", utts_per_s=280.0),
     "train-conformer-long": Workload(
         "model.kind=conformer\nmodel.layers=6\nloss.variant=multiple\nloss.k=2\n"
         "task.min_label=8\ntask.max_label=18\ntask.min_duration=3\ntask.max_duration=5\n",
-        utts_per_s=40.0, dev_size=16),
+        utts_per_s=54.0, dev_size=16),
     # decode: the checkpoint comes from `ctclab train` on this config in a
     # child process, so that training does not raise the eval path's peak
     # RSS; the work of one call sizes the test split
-    "decode": Workload("", utts_per_s=400.0, epochs=1, dev_size=32),
+    "decode": Workload("", utts_per_s=650.0, epochs=1, dev_size=32),
 }
 DECODE_TRAIN_UTTERANCES = 1024
 WARMUP_S = 5.0  # untimed in-process load before the first set-up
 # The timed work is split into this many whole calls, each after its own
-# timed set-up.  The rates reported are the median over the calls: the
-# host's speed wanders in stretches of seconds, which a single long call
-# would average in.  Each training call has its own inputs, which also
-# damps the spread of work between seeds; decode calls all read one test
-# split, large enough that seeds differ little in work.  `setup_s` is the
-# mean of the set-up calls instead: each lasts 10-100 ms and catches the
-# host at one of two speeds about 1.5x apart, so their median would read
-# one speed or the other, while their mean weighs both as the run met them.
+# timed set-up.  The figures reported are the medians over the calls, each
+# call's time scaled to the reference host speed (`HostSpeed`).  Each
+# training call has its own inputs, which damps the spread of work between
+# seeds; decode calls all read one test split, large enough that seeds
+# differ little in work.
 CALLS = 5
+# `setup_s` is the median of this many set-ups before each call: one set-up
+# lasts 10-50 ms, over which the host's speed alone varies by 20% or more.
+SETUP_REPEATS = 4
 BATCH = 16
 MIN_STEPS = 6
 CTC_SAMPLES = 64
@@ -97,23 +101,96 @@ def frames(utterances) -> int:
     return sum(utt.features.shape[0] for utt in utterances)
 
 
-def timed_calls(setup, call, inputs) -> tuple[list[float], list[float], list]:
+class HostSpeed:
+    """Samples the host's speed while timed calls run, so that their times
+    can be given at one reference speed.
+
+    The host this benchmark was sized on runs the same work at speeds up to
+    2.5x apart, in stretches from under a second to minutes, and process CPU
+    time follows wall time, so neither timer alone tells the program's speed
+    from the host's.  Every PERIOD_S of a timed call a SIGALRM handler runs
+    one slice of fixed work, ITERATIONS steps of a two-layer MLP forward and
+    backward on 32x64 float32 arrays (small numpy ops, as the program's),
+    and times it.  The call's time less its slices, times
+    REFERENCE_SLICE_S / (mean slice time), is its time at the reference
+    speed: both slow down together when the host does.  The slice allocates
+    no object the cyclic collector tracks."""
+
+    PERIOD_S = 0.05
+    ITERATIONS = 75
+    REFERENCE_SLICE_S = 4.0e-3  # about a slice's time on the reference host
+
+    def __init__(self, sample: bool = True):
+        """With `sample` false (a traced run, whose spans a slice would
+        inflate) times are wall times."""
+        self.sample = sample
+        rng = np.random.default_rng(0)
+        self.x = rng.standard_normal((32, 64)).astype(np.float32)
+        self.w1 = (0.1 * rng.standard_normal((64, 128))).astype(np.float32)
+        self.w2 = (0.1 * rng.standard_normal((128, 64))).astype(np.float32)
+        self.slices: list[float] = []
+
+    def _slice(self, signum, frame) -> None:
+        started = time.perf_counter()
+        for _ in range(self.ITERATIONS):
+            hidden = self.x @ self.w1
+            out = np.maximum(hidden, 0.0) @ self.w2
+            exp = np.exp(out - out.max(axis=1, keepdims=True))
+            grad = exp / exp.sum(axis=1, keepdims=True) - self.x
+            grad_w1 = self.x.T @ ((grad @ self.w2.T) * (hidden > 0))
+        float(grad_w1[0, 0])
+        self.slices.append(time.perf_counter() - started)
+
+    @contextmanager
+    def sampling(self):
+        """Sample afresh for the duration of the block."""
+        self.slices.clear()
+        if not self.sample:
+            yield
+            return
+        previous = signal.signal(signal.SIGALRM, self._slice)
+        signal.setitimer(signal.ITIMER_REAL, self.PERIOD_S, self.PERIOD_S)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def timed(self, fn, arg):
+        """`fn(arg)` and its seconds, less the slices taken meanwhile."""
+        sliced = sum(self.slices)
+        started = time.perf_counter()
+        result = fn(arg)
+        return result, time.perf_counter() - started - (sum(self.slices) - sliced)
+
+    def scale(self) -> float:
+        """Reference speed over the host's speed while sampling."""
+        if not self.sample:
+            return 1.0
+        if not self.slices:  # a block shorter than PERIOD_S: sample once after it
+            self._slice(None, None)
+        return self.REFERENCE_SLICE_S / statistics.fmean(self.slices)
+
+
+def timed_calls(setup, call, inputs, host: HostSpeed):
     """For each input in turn, collect garbage, then time `setup(input)`
-    and `call(input)`; return the set-up seconds, the call seconds and the
-    call results.  Each call thus starts as a fresh command would, without
-    the previous call's garbage, and the set-up timings are spread over
-    the timed phase instead of all falling in one stretch of the host's
-    speed."""
-    setup_seconds, seconds, results = [], [], []
+    SETUP_REPEATS times and `call(input)` once, all under `host.sampling()`.
+    Return the set-up seconds, the call seconds, the host's slowness during
+    each call (1 at the reference speed) and the call results.  Each call
+    thus starts as a fresh command would, without the previous call's
+    garbage."""
+    setup_seconds, seconds, slowness, results = [], [], [], []
     for item in inputs:
         gc.collect()
-        started = time.perf_counter()
-        setup(item)
-        setup_seconds.append(time.perf_counter() - started)
-        started = time.perf_counter()
-        results.append(call(item))
-        seconds.append(time.perf_counter() - started)
-    return setup_seconds, seconds, results
+        with host.sampling():
+            setups = [host.timed(setup, item)[1] for _ in range(SETUP_REPEATS)]
+            result, call_seconds = host.timed(call, item)
+            scale = host.scale()
+        setup_seconds += [s * scale for s in setups]
+        seconds.append(call_seconds * scale)
+        slowness.append(1.0 / scale)
+        results.append(result)
+    return setup_seconds, seconds, slowness, results
 
 
 class CTCSampler:
@@ -149,7 +226,7 @@ def fresh_dir(name: str) -> Path:
     return Path(tempfile.mkdtemp(prefix=f"{name}-", dir=OUTPUT))
 
 
-def run_train(name: str, workload: Workload, args, tracer) -> dict:
+def run_train(name: str, workload: Workload, args, tracer, host) -> dict:
     extra = f"loss.variant={args.variant}\n" if args.variant else ""
     cfgs = [RunConfig.parse(train_config(workload, args.seed * CALLS + index,
                                          args.seconds * workload.utts_per_s / CALLS,
@@ -166,8 +243,9 @@ def run_train(name: str, workload: Workload, args, tracer) -> dict:
         every = max(1, len(cfgs) * cfgs[0].epochs * cfgs[0].task.train_size
                     // (CTC_SAMPLES // 2))
         with CTCSampler(objective, every, CTC_SAMPLES) as sampler:
-            setup, seconds, results = timed_calls(
-                setup_training, lambda cfg: trainer.run_training(cfg, out / str(cfg.seed)), cfgs)
+            setup, seconds, slowness, results = timed_calls(
+                setup_training, lambda cfg: trainer.run_training(cfg, out / str(cfg.seed)),
+                cfgs, host)
         if tracer:
             tracer.uninstall()
         peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
@@ -186,8 +264,8 @@ def run_train(name: str, workload: Workload, args, tracer) -> dict:
                 utterances=[cfg.epochs * (len(t) + len(d)) for cfg, (t, d) in zip(cfgs, sets)],
                 frames=[cfg.epochs * (frames(t) + frames(d)) for cfg, (t, d) in zip(cfgs, sets)],
                 failed=sum(r.skipped_utterances for r in results),
-                setup=setup, peak_rss_mb=peak_rss_mb,
-                generated=2 * sum(len(t) + len(d) for t, d in sets))
+                setup=setup, slowness=slowness, peak_rss_mb=peak_rss_mb,
+                generated=(SETUP_REPEATS + 1) * sum(len(t) + len(d) for t, d in sets))
 
 
 def setup_training(cfg) -> None:
@@ -254,7 +332,7 @@ def check_training(cfg, result, train_set, samples, seed) -> list[str]:
     return problems + check_checkpoints(cfg, result)
 
 
-def run_decode(name: str, workload: Workload, args, tracer) -> dict:
+def run_decode(name: str, workload: Workload, args, tracer, host) -> dict:
     size = max(1, round(args.seconds * workload.utts_per_s / CALLS))
     out = fresh_dir(name)
     try:
@@ -276,10 +354,10 @@ def run_decode(name: str, workload: Workload, args, tracer) -> dict:
         dataset = data.generate_dataset(task, "test")
         if tracer:
             tracer.install()
-        setup, seconds, results = timed_calls(
+        setup, seconds, slowness, results = timed_calls(
             setup_decode,
             lambda path: trainer.evaluate(trainer.load_checkpoint(path), dataset),
-            [checkpoint] * CALLS)
+            [checkpoint] * CALLS, host)
         if tracer:
             tracer.uninstall()
         peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
@@ -293,8 +371,8 @@ def run_decode(name: str, workload: Workload, args, tracer) -> dict:
     return dict(problems=problems, seconds=seconds,
                 summary=f"test_ter {result.rate:.4f}  near-tie mismatches excused: {excused}",
                 utterances=[len(dataset)] * CALLS, frames=[frames(dataset)] * CALLS,
-                failed=0, setup=setup, peak_rss_mb=peak_rss_mb,
-                generated=CALLS * len(dataset))
+                failed=0, setup=setup, slowness=slowness, peak_rss_mb=peak_rss_mb,
+                generated=SETUP_REPEATS * CALLS * len(dataset))
 
 
 def parse_args(argv=None):
@@ -322,7 +400,8 @@ def main(argv=None) -> int:
         return 2
     tracer = tracing.Tracer() if args.trace else None
     runner = run_decode if args.workload == "decode" else run_train
-    run = runner(args.workload, WORKLOADS[args.workload], args, tracer)
+    host = HostSpeed(sample=tracer is None)
+    run = runner(args.workload, WORKLOADS[args.workload], args, tracer, host)
 
     print(run["summary"])
     attempted = sum(run["utterances"])
@@ -336,7 +415,7 @@ def main(argv=None) -> int:
         print("not exercised on this workload: " + (", ".join(idle) or "none"))
     else:
         metrics = {
-            "setup_s": {"value": statistics.fmean(run["setup"]), "unit": "s"},
+            "setup_s": {"value": statistics.median(run["setup"]), "unit": "s"},
             "utts_per_s": {"value": statistics.median(
                 n / s for n, s in zip(run["utterances"], run["seconds"])), "unit": "utt/s"},
             "frames_per_s": {"value": statistics.median(
@@ -348,6 +427,7 @@ def main(argv=None) -> int:
     correct = not run["problems"]
     print("set-up calls (s): " + " ".join(f"{s:.4f}" for s in run["setup"]))
     print("timed calls (s): " + " ".join(f"{s:.3f}" for s in run["seconds"]))
+    print("host slowness in each call: " + " ".join(f"{s:.3f}" for s in run["slowness"]))
     print(json.dumps({"correct": correct, "attempted": attempted,
                       "failed": run["failed"], "metrics": metrics}))
     return 0 if correct else 1

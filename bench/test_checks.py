@@ -3,6 +3,8 @@ deliberately corrupted copy of it; the tracer survives a missing function;
 BENCHMARK.json names what the runs report.  Run with
 `python3 -m pytest bench -q`."""
 import json
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -129,6 +131,29 @@ def test_tracer_reports_a_missing_function_as_unmeasured(monkeypatch, cfg):
     assert values["tensor.ops"] > 0 and values["tensor.tape_entries"] == 0
     assert values["encoder.attention_ms"] > 0
 
+
+
+def test_host_speed_leaves_its_slices_out_and_restores_the_alarm():
+    def busy(seconds):
+        end = time.perf_counter() + seconds
+        while time.perf_counter() < end:
+            pass
+        return seconds
+
+    before = signal.getsignal(signal.SIGALRM)
+    host = run.HostSpeed()
+    with host.sampling():
+        result, seconds = host.timed(busy, 0.3)
+        assert host.scale() > 0
+    assert result == 0.3 and len(host.slices) >= 3
+    assert seconds == pytest.approx(0.3 - sum(host.slices), abs=0.02)
+    assert signal.getsignal(signal.SIGALRM) is before
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+
+    wall = run.HostSpeed(sample=False)
+    with wall.sampling():
+        assert wall.timed(busy, 0.1)[1] >= 0.1 and wall.scale() == 1.0
+    assert wall.slices == []
 
 
 def test_benchmark_json_lists_the_metrics_the_runs_report():
