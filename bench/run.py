@@ -1,6 +1,6 @@
 """ctclab benchmark: one run of one workload, with its correctness checks.
 
-    python3 bench/run.py --workload train-default --seed 1 --seconds 30 --trace 0
+    python3 bench/run.py --workload train-default --seed 1 --seconds 15 --trace 0
 
 Each run builds its inputs from --seed, warms the host up with untimed
 load, then times a fixed amount of work sized by --seconds in CALLS whole
