@@ -22,12 +22,17 @@ from .ctc import (
     read_logits_file,
 )
 from .data import generate_dataset
-from .encoder import Encoder, EncoderConfig
+from .encoder import (
+    Attention,
+    Encoder,
+    EncoderConfig,
+    FeedForward,
+    _feed_forward,
+    self_attention,
+)
 from .tensor import (
-    GradcheckReport,
     Tensor,
     add,
-    concat_last,
     depthwise_conv1d,
     glu,
     gradcheck,
@@ -37,7 +42,6 @@ from .tensor import (
     mul,
     sigmoid,
     slice_last,
-    softmax,
     sum_all,
     swish,
 )
@@ -86,20 +90,33 @@ def _primitive_checks(rng):
     bias = Tensor(rng.uniform(-1, 1, size=4), requires_grad=True)
     grid_logits = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
 
+    def param(*shape):
+        return Tensor(rng.uniform(-1, 1, size=shape), requires_grad=True)
+    att_x = Tensor(rng.uniform(-2, 2, size=(3, 4)), requires_grad=True)
+    att = Attention(param(4, 4), param(4), param(4, 4), param(4),
+                    param(4, 4), param(4), param(4, 4), param(4))
+    ffn_x = Tensor(rng.uniform(-2, 2, size=(3, 4)), requires_grad=True)
+    ffn = FeedForward(param(4, 5), param(5), param(5, 4), param(4))
+
     checks = [
         ("matmul", {"a": a, "b": b}, lambda: sum_all(matmul(a, b))),
         ("depthwise_conv1d", {"x": cx, "kernel": ck},
          lambda: sum_all(depthwise_conv1d(cx, ck))),
         ("swish", {"x": x34}, weighted(swish, x34, w34)),
         ("sigmoid", {"x": x34}, weighted(sigmoid, x34, w34)),
-        ("softmax", {"x": x34}, weighted(softmax, x34, w34)),
         ("log_softmax", {"x": x34}, weighted(log_softmax, x34, w34)),
         ("glu", {"x": gx}, weighted(glu, gx, gw)),
         ("layer_norm", {"x": nx, "gain": ngain, "bias": nbias},
          lambda: sum_all(mul(layer_norm(nx, ngain, nbias), nw))),
-        ("bias_add_slice_concat", {"x": x34, "bias": bias},
-         lambda: sum_all(mul(concat_last([slice_last(add(x34, bias), 0, 1),
-                                          slice_last(add(x34, bias), 1, 4)]), w34))),
+        ("bias_add_slice", {"x": x34, "bias": bias},
+         lambda: sum_all(mul(slice_last(add(x34, bias), 1, 4),
+                             slice_last(w34, 1, 4)))),
+        ("attention", {"x": att_x, **vars(att)},
+         weighted(lambda x: self_attention(x, att, n_heads=2), att_x, w34)),
+        ("feed_forward_relu", {"x": ffn_x, **vars(ffn)},
+         weighted(lambda x: _feed_forward(x, ffn, "relu"), ffn_x, w34)),
+        ("feed_forward_swish", {"x": ffn_x, **vars(ffn)},
+         weighted(lambda x: _feed_forward(x, ffn, "swish"), ffn_x, w34)),
         ("ctc_grid", {"logits": grid_logits},
          lambda: ctc_loss(log_softmax(grid_logits), (1, 2))),
     ]

@@ -220,7 +220,8 @@ def oracle_trials(trials: int = 200, seed: int = 0, max_frames: int = 6,
 
 def read_logits_file(path) -> np.ndarray:
     """Parse the decode input format: a `T V` header line, then T lines of
-    V+1 whitespace-separated log-probabilities."""
+    V+1 whitespace-separated log-probabilities.  -inf (log 0) is allowed;
+    NaN and +inf are rejected."""
     text = Path(path).read_text().split("\n")
     header = text[0].split()
     if len(header) != 2:
@@ -237,7 +238,11 @@ def read_logits_file(path) -> np.ndarray:
         if len(values) != vocab + 1:
             raise ValueError(
                 f"line {line_no}: expected {vocab + 1} values, got {len(values)}")
-        rows.append([float(v) for v in values])
+        row = [float(v) for v in values]
+        if any(math.isnan(v) or v == math.inf for v in row):
+            raise ValueError(f"line {line_no}: log-probabilities must be finite "
+                             f"or -inf, got {line.strip()!r}")
+        rows.append(row)
     if len(rows) != steps:
         raise ValueError(f"expected {steps} rows of log-probabilities, got {len(rows)}")
     return np.array(rows, dtype=np.float64)

@@ -5,6 +5,12 @@ before the sub-block, and the raw input rides the skip connection.  During
 training a per-layer Bernoulli draw keeps or skips the whole layer; kept
 branches are scaled by the inverse survival probability so the expectation
 matches the no-skip forward.  Evaluation never skips.
+
+Multi-head attention and the feed-forward block are fused: each is one
+tape entry (`record_op`) whose forward runs in plain numpy and whose
+backward is analytic, so each costs one tape op per layer whatever the
+number of heads.  The Conformer conv module is still composed from tensor
+primitives.
 """
 from __future__ import annotations
 
@@ -17,18 +23,15 @@ import numpy as np
 
 from .tensor import (
     Tensor,
+    _sigmoid,
     add,
-    concat_last,
     depthwise_conv1d,
     glu,
     layer_norm,
     matmul,
-    relu,
+    record_op,
     scale,
-    slice_last,
-    softmax,
     swish,
-    transpose,
 )
 
 LAYER_KINDS = ("transformer", "conformer")
@@ -162,28 +165,68 @@ def _norm(x: Tensor, p: Norm) -> Tensor:
 def self_attention(x: Tensor, p: Attention, n_heads: int,
                    return_weights: bool = False):
     """Multi-head scaled dot-product attention over all positions (full
-    context, no masking)."""
-    d = x.shape[-1]
+    context, no masking), recorded as one tape entry.
+
+    The heads run as batched (H, T, d_h) products and the softmax subtracts
+    each row's maximum, so extreme scores stay finite.  The backward is
+    analytic: dV = A^T dO, dA = dO V^T, dS = A * (dA - rowsum(dA * A)),
+    dQ = dS K / sqrt(d_h) and dK = dS^T Q / sqrt(d_h).  With
+    `return_weights`, the per-head (T, T) attention maps come back too, as
+    constant tensors.
+    """
+    if x.data.ndim != 2:
+        raise ValueError(f"self_attention expects a rank-2 input, got {x.shape}")
+    steps, d = x.shape
     if d % n_heads:
         raise ValueError(f"width {d} not divisible into {n_heads} heads")
     head_dim = d // n_heads
-    q = add(matmul(x, p.wq), p.bq)
-    k = add(matmul(x, p.wk), p.bk)
-    v = add(matmul(x, p.wv), p.bv)
-    outputs, weights = [], []
-    for h in range(n_heads):
-        lo, hi = h * head_dim, (h + 1) * head_dim
-        qh, kh, vh = (slice_last(m, lo, hi) for m in (q, k, v))
-        scores = scale(matmul(qh, transpose(kh)), 1.0 / math.sqrt(head_dim))
-        attn = softmax(scores, axis=-1)
-        outputs.append(matmul(attn, vh))
-        weights.append(attn)
-    out = add(matmul(concat_last(outputs), p.wo), p.bo)
-    return (out, weights) if return_weights else out
+    c = 1.0 / math.sqrt(head_dim)
+    xd = x.data
+
+    def split(m):  # (T, D) -> (H, T, d_h)
+        return m.reshape(steps, n_heads, head_dim).transpose(1, 0, 2)
+
+    def merge(m):  # (H, T, d_h) -> (T, D), heads side by side
+        return m.transpose(1, 0, 2).reshape(steps, d)
+
+    q = split(xd @ p.wq.data + p.bq.data)
+    k = split(xd @ p.wk.data + p.bk.data)
+    v = split(xd @ p.wv.data + p.bv.data)
+    scores = (q @ k.transpose(0, 2, 1)) * c
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+    context = merge(attn @ v)
+
+    def bfn(g):
+        d_ctx = split(g @ p.wo.data.T)
+        d_attn = d_ctx @ v.transpose(0, 2, 1)
+        d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True)) * c
+        dq = merge(d_scores @ k)
+        dk = merge(d_scores.transpose(0, 2, 1) @ q)
+        dv = merge(attn.transpose(0, 2, 1) @ d_ctx)
+        dx = dq @ p.wq.data.T + dk @ p.wk.data.T + dv @ p.wv.data.T
+        return (dx, xd.T @ dq, dq.sum(axis=0), xd.T @ dk, dk.sum(axis=0),
+                xd.T @ dv, dv.sum(axis=0), context.T @ g, g.sum(axis=0))
+    out = record_op(context @ p.wo.data + p.bo.data,
+                    (x, p.wq, p.bq, p.wk, p.bk, p.wv, p.bv, p.wo, p.bo), bfn)
+    return (out, [Tensor(a) for a in attn]) if return_weights else out
 
 
-def _feed_forward(x: Tensor, p: FeedForward, activation) -> Tensor:
-    return add(matmul(activation(add(matmul(x, p.w1), p.b1)), p.w2), p.b2)
+def _feed_forward(x: Tensor, p: FeedForward, activation: str) -> Tensor:
+    """Position-wise two-layer feed-forward with a relu or swish between,
+    recorded as one tape entry with an analytic backward."""
+    if activation not in ("relu", "swish"):
+        raise ValueError(f"unknown activation {activation!r}")
+    xd = x.data
+    h = xd @ p.w1.data + p.b1.data
+    s = _sigmoid(h) if activation == "swish" else None
+    a = np.maximum(h, 0.0) if s is None else h * s
+
+    def bfn(g):
+        da = g @ p.w2.data.T
+        dh = da * (h > 0) if s is None else da * (s + a * (1.0 - s))
+        return dh @ p.w1.data.T, xd.T @ dh, dh.sum(axis=0), a.T @ g, g.sum(axis=0)
+    return record_op(a @ p.w2.data + p.b2.data, (x, p.w1, p.b1, p.w2, p.b2), bfn)
 
 
 def _conv_module(x: Tensor, p: ConvModule) -> Tensor:
@@ -200,7 +243,7 @@ def transformer_layer(x: Tensor, p: TransformerLayer, n_heads: int,
     if branch_scale != 1.0:
         a = scale(a, branch_scale)
     x = add(x, a)
-    f = _feed_forward(_norm(x, p.ffn_norm), p.ffn, relu)
+    f = _feed_forward(_norm(x, p.ffn_norm), p.ffn, "relu")
     if branch_scale != 1.0:
         f = scale(f, branch_scale)
     return add(x, f)
@@ -208,7 +251,7 @@ def transformer_layer(x: Tensor, p: TransformerLayer, n_heads: int,
 
 def conformer_layer(x: Tensor, p: ConformerLayer, n_heads: int,
                     branch_scale: float = 1.0) -> Tensor:
-    x = add(x, scale(_feed_forward(_norm(x, p.ffn1_norm), p.ffn1, swish),
+    x = add(x, scale(_feed_forward(_norm(x, p.ffn1_norm), p.ffn1, "swish"),
                      0.5 * branch_scale))
     a = self_attention(_norm(x, p.att_norm), p.attention, n_heads)
     if branch_scale != 1.0:
@@ -218,7 +261,7 @@ def conformer_layer(x: Tensor, p: ConformerLayer, n_heads: int,
     if branch_scale != 1.0:
         c = scale(c, branch_scale)
     x = add(x, c)
-    x = add(x, scale(_feed_forward(_norm(x, p.ffn2_norm), p.ffn2, swish),
+    x = add(x, scale(_feed_forward(_norm(x, p.ffn2_norm), p.ffn2, "swish"),
                      0.5 * branch_scale))
     return _norm(x, p.out_norm)
 

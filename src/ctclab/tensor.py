@@ -4,9 +4,21 @@ Two precisions are in play: float64 for verification (gradchecks, oracle
 comparisons) and float32 for training and checkpoint storage.  Every op
 checks its output for NaN/Inf; producing a non-finite value from finite
 inputs is a contract violation and raises FloatingPointError.
+
+The primitives here are small elementwise and linear ops.  Larger blocks
+with an analytic backward (the encoder's fused multi-head attention and
+feed-forward) register themselves through `record_op` and are one tape
+entry each.
+
+Tape lifetime: a tape owns its entries, and so every recorded output and
+the closures of their backward functions, but a tensor refers back to its
+tape only through a weak reference.  No reference cycle runs through a
+tape, so reference counting frees it, with all its intermediates, as soon
+as the caller drops the tape; the cyclic collector has nothing to do.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -28,6 +40,8 @@ class Tensor:
     Values are treated as immutable after construction (ops never write into
     an existing tensor's data).  `grad` is allocated when requires_grad is
     set and accumulates across backward passes until zero_grad().
+    `_tape` is the weak reference of the tape that recorded the tensor (or
+    enrolled it, for a leaf), and None for a tensor no tape has seen.
     """
 
     __slots__ = ("data", "grad", "node_id", "_tape")
@@ -45,7 +59,7 @@ class Tensor:
         self.data = arr
         self.grad = np.zeros_like(arr) if requires_grad else None
         self.node_id: int | None = None
-        self._tape: Tape | None = None
+        self._tape: weakref.ref[Tape] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -87,13 +101,16 @@ class Tape:
 
     Single-owner: enter the context, run the forward computation, then call
     backward(loss).  Entries are stored in execution order, which is a
-    topological order by construction.
+    topological order by construction.  Tensors hold `_ref`, made once per
+    tape, rather than the tape itself, so the tape lives exactly as long as
+    its owner keeps it.
     """
 
     def __init__(self):
         self._entries: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
         self._leaves: list[Tensor] = []
         self._next_id = 0
+        self._ref = weakref.ref(self)
 
     def __enter__(self) -> "Tape":
         if _ACTIVE_TAPES:
@@ -105,10 +122,10 @@ class Tape:
         _ACTIVE_TAPES.pop()
 
     def _node_id(self, t: Tensor) -> int | None:
-        if t._tape is self and t.node_id is not None:
+        if t._tape is self._ref and t.node_id is not None:
             return t.node_id
         if t.grad is not None:  # un-enrolled leaf parameter
-            t._tape = self
+            t._tape = self._ref
             t.node_id = self._next_id
             self._next_id += 1
             self._leaves.append(t)
@@ -120,7 +137,7 @@ class Tape:
         ids = [self._node_id(t) for t in inputs]  # enroll every leaf input
         if all(i is None for i in ids):
             return
-        out._tape = self
+        out._tape = self._ref
         out.node_id = self._next_id
         self._next_id += 1
         self._entries.append((out, inputs, backward_fn))
@@ -133,7 +150,8 @@ class Tape:
         """
         if loss.data.size != 1:
             raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
-        if loss._tape is not self or loss.node_id is None:
+        ref = self._ref
+        if loss._tape is not ref or loss.node_id is None:
             raise RuntimeError("loss was not recorded on this tape")
         adjoint: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
         for out, inputs, backward_fn in reversed(self._entries):
@@ -141,7 +159,7 @@ class Tape:
             if g is None:
                 continue
             for t, gi in zip(inputs, backward_fn(g)):
-                if gi is None or t._tape is not self or t.node_id is None:
+                if gi is None or t._tape is not ref or t.node_id is None:
                     continue
                 prev = adjoint.get(t.node_id)
                 adjoint[t.node_id] = gi if prev is None else prev + gi
@@ -152,10 +170,12 @@ class Tape:
 
 
 def backward(loss: Tensor) -> None:
-    """Backward pass through the tape that recorded `loss`."""
-    if loss._tape is None:
-        raise RuntimeError("loss is not attached to any tape")
-    loss._tape.backward(loss)
+    """Backward pass through the tape that recorded `loss`; the tape must
+    still be alive."""
+    tape = loss._tape() if loss._tape is not None else None
+    if tape is None:
+        raise RuntimeError("loss is not attached to any live tape")
+    tape.backward(loss)
 
 
 def _finish(data: np.ndarray, inputs: tuple[Tensor, ...],
@@ -228,18 +248,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                    lambda g: (g @ b.data.T, a.data.T @ g))
 
 
-def transpose(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ValueError("transpose expects a rank-2 tensor")
-    return _finish(np.ascontiguousarray(x.data.T), (x,),
-                   lambda g: (np.ascontiguousarray(g.T),))
-
-
-def relu(x: Tensor) -> Tensor:
-    return _finish(np.maximum(x.data, 0.0), (x,),
-                   lambda g: (g * (x.data > 0),))
-
-
 def sigmoid(x: Tensor) -> Tensor:
     s = _sigmoid(x.data)
     return _finish(s, (x,), lambda g: (g * s * (1.0 - s),))
@@ -269,20 +277,6 @@ def glu(x: Tensor) -> Tensor:
         raise ValueError(f"glu needs an even last extent, got {width}")
     half = width // 2
     return mul(slice_last(x, 0, half), sigmoid(slice_last(x, half, width)))
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    y = _softmax(x.data, axis)
-
-    def bfn(g):
-        return (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
-    return _finish(y, (x,), bfn)
-
-
-def _softmax(v: np.ndarray, axis: int) -> np.ndarray:
-    # max-subtraction for stability
-    e = np.exp(v - v.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -354,19 +348,6 @@ def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
         full[..., start:stop] = g
         return (full,)
     return _finish(np.ascontiguousarray(x.data[..., start:stop]), (x,), bfn)
-
-
-def concat_last(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise ValueError("concat_last of no tensors")
-    widths = [p.shape[-1] for p in parts]
-    offsets = np.cumsum([0] + widths)
-
-    def bfn(g):
-        return tuple(np.ascontiguousarray(g[..., offsets[i]:offsets[i + 1]])
-                     for i in range(len(parts)))
-    return _finish(np.concatenate([p.data for p in parts], axis=-1),
-                   tuple(parts), bfn)
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -168,33 +168,41 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Parse the layout written by save_checkpoint.  A file that ends early,
+    or runs on past the config echo, raises ValueError."""
     blob = Path(path).read_bytes()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: bad checkpoint magic {blob[:4]!r}")
+    view = memoryview(blob)
     offset = 4
-    version, count = struct.unpack_from("<II", blob, offset)
-    offset += 8
+
+    def take(n: int) -> memoryview:
+        nonlocal offset
+        if offset + n > len(blob):
+            raise ValueError(f"{path}: checkpoint truncated at byte {len(blob)} "
+                             f"(needs at least {offset + n})")
+        offset += n
+        return view[offset - n:offset]
+
+    version, count = struct.unpack("<II", take(8))
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     params: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        name = blob[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        (rank,) = struct.unpack_from("<B", blob, offset)
-        offset += 1
-        shape = struct.unpack_from(f"<{rank}I", blob, offset)
-        offset += 4 * rank
+        (name_len,) = struct.unpack("<I", take(4))
+        name = str(take(name_len), "utf-8")
+        (rank,) = struct.unpack("<B", take(1))
+        shape = struct.unpack(f"<{rank}I", take(4 * rank))
         n = int(np.prod(shape)) if rank else 1
-        arr = np.frombuffer(blob, dtype="<f4", count=n, offset=offset)
-        offset += 4 * n
+        arr = np.frombuffer(take(4 * n), dtype="<f4")
         if name in params:
             raise ValueError(f"{path}: duplicate parameter name {name!r}")
         params[name] = arr.reshape(shape).copy()
-    (echo_len,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
-    echo = blob[offset:offset + echo_len].decode("utf-8")
+    (echo_len,) = struct.unpack("<I", take(4))
+    echo = str(take(echo_len), "utf-8")
+    if offset != len(blob):
+        raise ValueError(f"{path}: {len(blob) - offset} trailing bytes after "
+                         f"the config echo")
     return Checkpoint(version, params, echo)
 
 

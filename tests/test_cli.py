@@ -90,6 +90,16 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(bad)]) == 1
         assert "magic" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("corrupt", [lambda good: b"ICTC\x01\x00",
+                                         lambda good: good + b"\x00" * 7],
+                             ids=["six_byte_header", "seven_trailing_bytes"])
+    def test_truncated_or_padded_checkpoint(self, tiny_run, corrupt, capsys):
+        bad = tiny_run / "bad.ckpt"
+        bad.write_bytes(corrupt((tiny_run / "epoch_1.ckpt").read_bytes()))
+        assert main(["eval", "--checkpoint", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestDecode:
     def test_uniform_grid_ties_resolve_to_blank(self, tmp_path, capsys):
@@ -109,6 +119,19 @@ class TestDecode:
         printed = capsys.readouterr().out.split()
         assert tuple(int(t) for t in printed) == greedy_decode(grid)
 
+    @pytest.mark.parametrize("row", ["nan 0 0", "0 inf 0", "+inf 0 0"])
+    def test_nan_and_positive_infinity_rejected(self, tmp_path, row, capsys):
+        path = tmp_path / "grid.txt"
+        path.write_text(f"1 2\n{row}\n")
+        assert main(["decode", "--logits", str(path)]) == 1
+        assert "line 2" in capsys.readouterr().err
+
+    def test_negative_infinity_accepted(self, tmp_path, capsys):
+        path = tmp_path / "grid.txt"
+        path.write_text("2 2\n-inf 0 -inf\n-inf -inf 0\n")
+        assert main(["decode", "--logits", str(path)]) == 0
+        assert capsys.readouterr().out == "1 2\n"
+
     def test_malformed_header(self, tmp_path, capsys):
         path = tmp_path / "grid.txt"
         path.write_text("3\n0 0\n0 0\n0 0\n")
@@ -122,7 +145,7 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--scale", "small"]) == 0
         assert time.perf_counter() - start < 10.0
         out = capsys.readouterr().out
-        assert "11/11 passed" in out
+        assert "13/13 passed" in out
         assert "FAIL" not in out
 
     def test_report_lists_per_parameter_errors(self, capsys):

@@ -3,16 +3,19 @@ import pytest
 
 from ctclab.ctc import CTCHead, ctc_loss
 from ctclab.encoder import (
+    Attention,
     Encoder,
     EncoderConfig,
+    FeedForward,
     LayerTrace,
+    _feed_forward,
     conformer_layer,
     self_attention,
     sinusoidal_encoding,
     survival_probability,
     transformer_layer,
 )
-from ctclab.tensor import Tensor, gradcheck
+from ctclab.tensor import Tape, Tensor, gradcheck, mul, sum_all
 
 
 def tiny_config(kind="transformer", **kw):
@@ -25,6 +28,34 @@ def tiny_config(kind="transformer", **kw):
 def zero_out(*tensors):
     for t in tensors:
         t.data[...] = 0.0
+
+
+def randomize(params, rng):
+    """Fill every tensor of a parameter container, biases included."""
+    for t in vars(params).values():
+        t.data[...] = rng.uniform(-1.0, 1.0, size=t.shape)
+    return params
+
+
+def reference_attention(x, p, n_heads):
+    """Float64 per-head composition: slice each head's columns, softmax its
+    scores, and concatenate the heads' outputs."""
+    q, k, v = (x @ w.data + b.data
+               for w, b in ((p.wq, p.bq), (p.wk, p.bk), (p.wv, p.bv)))
+    head_dim = x.shape[1] // n_heads
+    outputs = []
+    for h in range(n_heads):
+        cols = slice(h * head_dim, (h + 1) * head_dim)
+        scores = q[:, cols] @ k[:, cols].T / np.sqrt(head_dim)
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
+        outputs.append(e / e.sum(axis=1, keepdims=True) @ v[:, cols])
+    return np.concatenate(outputs, axis=1) @ p.wo.data + p.bo.data
+
+
+def reference_feed_forward(x, p, activation):
+    h = x @ p.w1.data + p.b1.data
+    a = np.maximum(h, 0.0) if activation == "relu" else h / (1.0 + np.exp(-h))
+    return a @ p.w2.data + p.b2.data
 
 
 class TestConfig:
@@ -156,6 +187,50 @@ class TestSelfAttention:
             np.testing.assert_allclose(attn.data.sum(axis=-1), np.ones(7),
                                        rtol=0, atol=1e-12)
 
+    def test_matches_per_head_composition(self):
+        rng = np.random.default_rng(14)
+        enc = Encoder.build(tiny_config())
+        p = randomize(enc.layers[0].attention, rng)
+        x = rng.normal(size=(7, 8))
+        out = self_attention(Tensor(x), p, n_heads=2)
+        np.testing.assert_allclose(out.data, reference_attention(x, p, 2),
+                                   rtol=0, atol=1e-12)
+
+    def test_equal_scores_average_the_values(self):
+        # zero queries give every key the same score, so each row of each
+        # map is uniform and every position gets the mean value
+        rng = np.random.default_rng(15)
+        enc = Encoder.build(tiny_config())
+        p = randomize(enc.layers[0].attention, rng)
+        zero_out(p.wq, p.bq)
+        x = rng.normal(size=(5, 8))
+        out, weights = self_attention(Tensor(x), p, n_heads=2, return_weights=True)
+        for attn in weights:
+            np.testing.assert_allclose(attn.data, np.full((5, 5), 0.2),
+                                       rtol=0, atol=1e-15)
+        mean_value = (x @ p.wv.data + p.bv.data).mean(axis=0)
+        expect = np.tile(mean_value @ p.wo.data + p.bo.data, (5, 1))
+        np.testing.assert_allclose(out.data, expect, rtol=0, atol=1e-12)
+
+    def test_extreme_scores_stay_finite(self):
+        # one head whose score rows are permutations of (1000, 0, -1000):
+        # the max-subtracted softmax gives exact one-hot maps, and the
+        # backward stays finite
+        a = np.sqrt(1000.0 * np.sqrt(2.0))
+        eye, zero = np.eye(2), np.zeros(2)
+        p = Attention(*(Tensor(m, requires_grad=True) for m in
+                        (a * eye, zero, a * eye, zero, eye, zero, eye, zero)))
+        x = Tensor([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], requires_grad=True)
+        w = Tensor(np.random.default_rng(16).uniform(-1, 1, size=(3, 2)))
+        with Tape() as tape:
+            out, weights = self_attention(x, p, n_heads=1, return_weights=True)
+            loss = sum_all(mul(out, w))
+        tape.backward(loss)
+        np.testing.assert_allclose(weights[0].data, np.eye(3), rtol=0, atol=1e-300)
+        np.testing.assert_array_equal(out.data, x.data)
+        for t in (x, *vars(p).values()):
+            assert np.isfinite(t.grad).all()
+
     def test_permutation_equivariance(self):
         enc = Encoder.build(tiny_config())
         rng = np.random.default_rng(7)
@@ -164,6 +239,58 @@ class TestSelfAttention:
         out = self_attention(Tensor(x), enc.layers[0].attention, 2)
         out_perm = self_attention(Tensor(x[perm]), enc.layers[0].attention, 2)
         np.testing.assert_allclose(out_perm.data, out.data[perm], atol=1e-12)
+
+
+class TestFeedForward:
+    @pytest.mark.parametrize("activation", ["relu", "swish"])
+    def test_matches_composition(self, activation):
+        rng = np.random.default_rng(17)
+        p = randomize(Encoder.build(tiny_config()).layers[0].ffn, rng)
+        x = rng.normal(size=(6, 8))
+        out = _feed_forward(Tensor(x), p, activation)
+        np.testing.assert_allclose(out.data, reference_feed_forward(x, p, activation),
+                                   rtol=0, atol=1e-12)
+
+    def test_relu_zero_gradient_on_negative_inputs(self):
+        eye = np.eye(3)
+        p = FeedForward(Tensor(eye), Tensor(np.zeros(3)), Tensor(eye),
+                        Tensor(np.zeros(3)))
+        x = Tensor([[-1.0, 0.0, 2.0]], requires_grad=True)
+        with Tape() as tape:
+            out = _feed_forward(x, p, "relu")
+            loss = sum_all(out)
+        tape.backward(loss)
+        np.testing.assert_array_equal(out.data, [[0.0, 0.0, 2.0]])
+        np.testing.assert_array_equal(x.grad, [[0.0, 0.0, 1.0]])
+
+    def test_unknown_activation_rejected(self):
+        p = Encoder.build(tiny_config()).layers[0].ffn
+        with pytest.raises(ValueError):
+            _feed_forward(Tensor(np.ones((2, 8))), p, "tanh")
+
+
+class TestFusedGradients:
+    """The fused blocks against central differences, at the primitive
+    tolerance."""
+
+    @pytest.mark.parametrize("block", ["attention", "relu", "swish"])
+    def test_gradcheck(self, block):
+        rng = np.random.default_rng(18)
+        layer = Encoder.build(tiny_config()).layers[0]
+        x = Tensor(rng.uniform(-2, 2, size=(4, 8)), requires_grad=True)
+        w = Tensor(rng.uniform(-1, 1, size=(4, 8)))
+        if block == "attention":
+            p = randomize(layer.attention, rng)
+
+            def f():
+                return sum_all(mul(self_attention(x, p, n_heads=2), w))
+        else:
+            p = randomize(layer.ffn, rng)
+
+            def f():
+                return sum_all(mul(_feed_forward(x, p, block), w))
+        report = gradcheck(f, {"x": x, **vars(p)})
+        assert report.max_rel_error < 1e-6
 
 
 class TestForward:

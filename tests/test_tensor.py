@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,6 @@ from ctclab.tensor import (
     Tensor,
     add,
     backward,
-    concat_last,
     depthwise_conv1d,
     glu,
     gradcheck,
@@ -16,14 +18,11 @@ from ctclab.tensor import (
     matmul,
     mul,
     record_op,
-    relu,
     scale,
     sigmoid,
     slice_last,
-    softmax,
     sum_all,
     swish,
-    transpose,
 )
 
 
@@ -68,19 +67,6 @@ class TestForwardExamples:
         with pytest.raises(ValueError):
             matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
-    def test_softmax_uniform(self):
-        out = softmax(Tensor([0.0, 0.0, 0.0]))
-        np.testing.assert_allclose(out.data, [1 / 3] * 3, rtol=0, atol=1e-15)
-
-    def test_softmax_extreme_no_overflow(self):
-        out = softmax(Tensor([1000.0, 0.0, -1000.0]))
-        np.testing.assert_allclose(out.data, [1.0, 0.0, 0.0], atol=1e-300)
-
-    def test_softmax_rows_sum_to_one(self):
-        rng = np.random.default_rng(0)
-        out = softmax(Tensor(rng.normal(size=(3, 7))), axis=-1)
-        np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(3), rtol=0, atol=1e-12)
-
     def test_layer_norm_constant_vector(self):
         x = Tensor([5.0, 5.0, 5.0, 5.0])
         out = layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)))
@@ -114,9 +100,6 @@ class TestForwardExamples:
         with pytest.raises(ValueError):
             depthwise_conv1d(Tensor(np.ones((4, 2))), Tensor(np.ones((2, 2))))
 
-    def test_relu(self):
-        np.testing.assert_array_equal(relu(Tensor([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
-
     def test_glu_zero_gate_halves(self):
         a = np.array([[2.0, -3.0], [4.0, 1.0]])
         x = Tensor(np.concatenate([a, np.zeros_like(a)], axis=-1))
@@ -129,8 +112,8 @@ class TestForwardExamples:
     def test_forward_bitwise_deterministic(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(4, 6))
-        a = softmax(layer_norm(Tensor(x), Tensor(np.ones(6)), Tensor(np.zeros(6))))
-        b = softmax(layer_norm(Tensor(x), Tensor(np.ones(6)), Tensor(np.zeros(6))))
+        a = log_softmax(layer_norm(Tensor(x), Tensor(np.ones(6)), Tensor(np.zeros(6))))
+        b = log_softmax(layer_norm(Tensor(x), Tensor(np.ones(6)), Tensor(np.zeros(6))))
         assert (a.data == b.data).all()
 
 
@@ -185,6 +168,22 @@ class TestBackward:
                 with Tape():
                     pass
 
+    def test_dropped_tape_freed_by_reference_counting(self):
+        p = Tensor([1.0, 2.0], requires_grad=True)
+        gc.disable()
+        try:
+            with Tape() as tape:
+                loss = sum_all(mul(p, p))
+            tape.backward(loss)
+            ref = weakref.ref(tape)
+            del tape
+            assert ref() is None
+        finally:
+            gc.enable()
+        np.testing.assert_array_equal(p.grad, [2.0, 4.0])
+        with pytest.raises(RuntimeError):
+            backward(loss)
+
     def test_record_op_custom_gradient(self):
         p = Tensor([3.0], requires_grad=True)
         with Tape() as tape:
@@ -228,10 +227,8 @@ class TestGradcheck:
 
     @pytest.mark.parametrize("name,fn", [
         ("sigmoid", sigmoid),
-        ("softmax", softmax),
         ("log_softmax", log_softmax),
         ("glu", glu),
-        ("transpose", transpose),
     ])
     def test_unary_ops(self, name, fn):
         rng = np.random.default_rng(hash(name) % 2**31)
@@ -250,22 +247,23 @@ class TestGradcheck:
             {"x": x, "gain": gain, "bias": bias})
         assert report.max_rel_error < 1e-6
 
-    def test_add_bias_broadcast_and_slice_concat(self):
+    def test_add_bias_broadcast_and_slice(self):
         rng = np.random.default_rng(9)
         x, b = rand_param(rng, 4, 6), rand_param(rng, 6)
-        w = Tensor(rng.uniform(-1, 1, size=(4, 6)))
+        w_lo = Tensor(rng.uniform(-1, 1, size=(4, 2)))
+        w_hi = Tensor(rng.uniform(-1, 1, size=(4, 4)))
 
         def f():
-            y = add(x, b)
-            y = concat_last([slice_last(y, 0, 2), slice_last(y, 2, 6)])
-            return sum_all(mul(y, w))
+            y = add(x, b)  # fans out into two slices
+            return add(sum_all(mul(slice_last(y, 0, 2), w_lo)),
+                       sum_all(mul(slice_last(y, 2, 6), w_hi)))
         report = gradcheck(f, {"x": x, "b": b})
         assert report.max_rel_error < 1e-6
 
-    def test_scale_and_relu(self):
+    def test_scale(self):
         rng = np.random.default_rng(10)
         x = rand_param(rng, 5, 5)
-        report = gradcheck(lambda: sum_all(scale(relu(x), 0.37)), {"x": x})
+        report = gradcheck(lambda: sum_all(scale(mul(x, x), 0.37)), {"x": x})
         assert report.max_rel_error < 1e-6
 
     def test_random_trials_all_primitives(self):
@@ -278,7 +276,7 @@ class TestGradcheck:
             fns = [
                 lambda: sum_all(mul(swish(x), w)),
                 lambda: sum_all(mul(sigmoid(x), w)),
-                lambda: sum_all(mul(softmax(x), w)),
+                lambda: sum_all(mul(log_softmax(x), w)),
             ]
             for f in fns:
                 worst = max(worst, gradcheck(f, {"x": x}).max_rel_error)

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from ctclab.config import RunConfig
 from ctclab.ctc import ctc_loss
 from ctclab.data import Utterance, generate_dataset
 from ctclab.objective import plan_step
+from ctclab.tensor import Tape
 from ctclab.trainer import (
     Checkpoint,
     Model,
@@ -79,6 +82,23 @@ class TestCheckpointFormat:
         blob[:4] = b"XXXX"
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="magic"):
+            load_checkpoint(path)
+
+    def test_every_truncation_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, random_checkpoint(np.random.default_rng(4)))
+        blob = path.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        for length in range(len(blob)):
+            cut.write_bytes(blob[:length])
+            with pytest.raises(ValueError):
+                load_checkpoint(cut)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, random_checkpoint(np.random.default_rng(5)))
+        path.write_bytes(path.read_bytes() + b"\x00" * 7)
+        with pytest.raises(ValueError, match="7 trailing bytes"):
             load_checkpoint(path)
 
     def test_float64_payload_rejected(self, tmp_path):
@@ -219,6 +239,34 @@ class TestTraining:
         monkeypatch.setattr(ctclab.trainer, "utterance_loss", poisoned)
         with pytest.raises(TrainingDiverged, match="epoch 1"):
             run_training(tiny_cfg(), tmp_path)
+
+
+class TestTapeLifetime:
+    def test_utterance_tapes_freed_without_cyclic_collector(self):
+        # the 6-layer Conformer with stochastic depth and two intermediate
+        # losses; with the cyclic collector off, reference counting alone
+        # must free each utterance's tape and leave no cycle behind
+        cfg = RunConfig.parse(
+            "model.kind=conformer\nmodel.layers=6\nloss.variant=multiple\n"
+            "loss.k=2\ntask.min_label=8\ntask.max_label=18\n"
+            "task.min_duration=3\ntask.max_duration=5\ntask.train_size=6\n")
+        model = Model.from_run_config(cfg)
+        spec = cfg.loss_spec()
+        rng = np.random.default_rng(0)
+        utterances = generate_dataset(cfg.task, "train")
+        gc.collect()
+        gc.disable()
+        try:
+            for utt in utterances:
+                plan = plan_step(spec, cfg.layers, rng)
+                utterance_loss(model, utt, spec, plan, rng, len(utterances))
+            live_tapes = sum(isinstance(o, Tape) for o in gc.get_objects())
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert len(utterances) == 6
+        assert live_tapes == 0
+        assert found == 0
 
 
 class TestEvaluate:
