@@ -24,26 +24,25 @@ from .ctc import (
 from .data import generate_dataset
 from .encoder import (
     Attention,
+    ConvModule,
     Encoder,
     EncoderConfig,
     FeedForward,
+    Norm,
+    _conv_module,
     _feed_forward,
+    _named_tensors,
     self_attention,
 )
 from .tensor import (
     Tensor,
     add,
-    depthwise_conv1d,
-    glu,
     gradcheck,
     layer_norm,
     log_softmax,
     matmul,
     mul,
-    sigmoid,
-    slice_last,
     sum_all,
-    swish,
 )
 from .trainer import (
     TrainingDiverged,
@@ -79,10 +78,6 @@ def _primitive_checks(rng):
 
     a = Tensor(rng.uniform(-2, 2, size=(4, 5)), requires_grad=True)
     b = Tensor(rng.uniform(-2, 2, size=(5, 3)), requires_grad=True)
-    cx = Tensor(rng.uniform(-2, 2, size=(6, 3)), requires_grad=True)
-    ck = Tensor(rng.uniform(-2, 2, size=(3, 3)), requires_grad=True)
-    gx = Tensor(rng.uniform(-2, 2, size=(3, 6)), requires_grad=True)
-    gw = Tensor(rng.uniform(-1, 1, size=(3, 3)))
     nx = Tensor(rng.uniform(-2, 2, size=(3, 6)), requires_grad=True)
     ngain = Tensor(rng.uniform(0.5, 1.5, size=6), requires_grad=True)
     nbias = Tensor(rng.uniform(-1, 1, size=6), requires_grad=True)
@@ -92,31 +87,37 @@ def _primitive_checks(rng):
 
     def param(*shape):
         return Tensor(rng.uniform(-1, 1, size=shape), requires_grad=True)
-    att_x = Tensor(rng.uniform(-2, 2, size=(3, 4)), requires_grad=True)
-    att = Attention(param(4, 4), param(4), param(4, 4), param(4),
-                    param(4, 4), param(4), param(4, 4), param(4))
-    ffn_x = Tensor(rng.uniform(-2, 2, size=(3, 4)), requires_grad=True)
-    ffn = FeedForward(param(4, 5), param(5), param(5, 4), param(4))
+
+    def norm():
+        return Norm(Tensor(rng.uniform(0.5, 1.5, size=4), requires_grad=True),
+                    param(4))
+    block_x = Tensor(rng.uniform(-2, 2, size=(3, 4)), requires_grad=True)
+
+    def block_params(pre_norm, block):
+        return {"x": block_x, **dict(_named_tensors(pre_norm, "pre_norm")),
+                **dict(_named_tensors(block, "block"))}
+    att_norm, att = norm(), Attention(param(4, 4), param(4), param(4, 4), param(4),
+                                      param(4, 4), param(4), param(4, 4), param(4))
+    ffn_norm, ffn = norm(), FeedForward(param(4, 5), param(5), param(5, 4), param(4))
+    conv_norm, conv = norm(), ConvModule(param(4, 8), param(8), param(3, 4), param(4),
+                                         norm(), param(4, 4), param(4))
 
     checks = [
         ("matmul", {"a": a, "b": b}, lambda: sum_all(matmul(a, b))),
-        ("depthwise_conv1d", {"x": cx, "kernel": ck},
-         lambda: sum_all(depthwise_conv1d(cx, ck))),
-        ("swish", {"x": x34}, weighted(swish, x34, w34)),
-        ("sigmoid", {"x": x34}, weighted(sigmoid, x34, w34)),
         ("log_softmax", {"x": x34}, weighted(log_softmax, x34, w34)),
-        ("glu", {"x": gx}, weighted(glu, gx, gw)),
         ("layer_norm", {"x": nx, "gain": ngain, "bias": nbias},
          lambda: sum_all(mul(layer_norm(nx, ngain, nbias), nw))),
-        ("bias_add_slice", {"x": x34, "bias": bias},
-         lambda: sum_all(mul(slice_last(add(x34, bias), 1, 4),
-                             slice_last(w34, 1, 4)))),
-        ("attention", {"x": att_x, **vars(att)},
-         weighted(lambda x: self_attention(x, att, n_heads=2), att_x, w34)),
-        ("feed_forward_relu", {"x": ffn_x, **vars(ffn)},
-         weighted(lambda x: _feed_forward(x, ffn, "relu"), ffn_x, w34)),
-        ("feed_forward_swish", {"x": ffn_x, **vars(ffn)},
-         weighted(lambda x: _feed_forward(x, ffn, "swish"), ffn_x, w34)),
+        ("bias_add", {"x": x34, "bias": bias},
+         weighted(lambda x: add(x, bias), x34, w34)),
+        ("attention", block_params(att_norm, att),
+         weighted(lambda x: self_attention(x, att_norm, att, n_heads=2),
+                  block_x, w34)),
+        ("feed_forward_relu", block_params(ffn_norm, ffn),
+         weighted(lambda x: _feed_forward(x, ffn_norm, ffn, "relu"), block_x, w34)),
+        ("feed_forward_swish", block_params(ffn_norm, ffn),
+         weighted(lambda x: _feed_forward(x, ffn_norm, ffn, "swish"), block_x, w34)),
+        ("conv_module", block_params(conv_norm, conv),
+         weighted(lambda x: _conv_module(x, conv_norm, conv), block_x, w34)),
         ("ctc_grid", {"logits": grid_logits},
          lambda: ctc_loss(log_softmax(grid_logits), (1, 2))),
     ]

@@ -220,8 +220,8 @@ def oracle_trials(trials: int = 200, seed: int = 0, max_frames: int = 6,
 
 def read_logits_file(path) -> np.ndarray:
     """Parse the decode input format: a `T V` header line, then T lines of
-    V+1 whitespace-separated log-probabilities.  -inf (log 0) is allowed;
-    NaN and +inf are rejected."""
+    V+1 whitespace-separated log-probabilities, then only blank lines.
+    -inf (log 0) is allowed; NaN and +inf are rejected."""
     text = Path(path).read_text().split("\n")
     header = text[0].split()
     if len(header) != 2:
@@ -245,6 +245,9 @@ def read_logits_file(path) -> np.ndarray:
         rows.append(row)
     if len(rows) != steps:
         raise ValueError(f"expected {steps} rows of log-probabilities, got {len(rows)}")
+    for line_no, line in enumerate(text[1 + steps:], start=2 + steps):
+        if line.strip():
+            raise ValueError(f"line {line_no}: row past the header's T={steps}")
     return np.array(rows, dtype=np.float64)
 
 

@@ -6,11 +6,13 @@ training a per-layer Bernoulli draw keeps or skips the whole layer; kept
 branches are scaled by the inverse survival probability so the expectation
 matches the no-skip forward.  Evaluation never skips.
 
-Multi-head attention and the feed-forward block are fused: each is one
-tape entry (`record_op`) whose forward runs in plain numpy and whose
-backward is analytic, so each costs one tape op per layer whatever the
-number of heads.  The Conformer conv module is still composed from tensor
-primitives.
+Every sub-block is fused with its pre-norm: multi-head attention, the
+feed-forward block and the Conformer conv module are each one tape entry
+(`record_op`) whose forward runs in plain numpy and whose backward is
+analytic, so each costs one tape op per layer whatever the number of heads
+or kernel taps.  A Transformer layer is two such entries and a Conformer
+layer four plus its output norm, each with its residual adds and, in
+training, branch scales.
 """
 from __future__ import annotations
 
@@ -23,15 +25,14 @@ import numpy as np
 
 from .tensor import (
     Tensor,
+    _norm_backward,
+    _norm_forward,
     _sigmoid,
     add,
-    depthwise_conv1d,
-    glu,
     layer_norm,
     matmul,
     record_op,
     scale,
-    swish,
 )
 
 LAYER_KINDS = ("transformer", "conformer")
@@ -158,14 +159,16 @@ def _named_tensors(obj, prefix: str) -> Iterator[tuple[str, Tensor]]:
 
 # --- forward blocks ----------------------------------------------------------
 
-def _norm(x: Tensor, p: Norm) -> Tensor:
-    return layer_norm(x, p.gain, p.bias, eps=NORM_EPS)
+def _norm(v: np.ndarray, p: Norm):
+    """Layer norm of an array: its output, and the (xhat, inv) that
+    `_norm_backward` takes."""
+    return _norm_forward(v, p.gain.data, p.bias.data, NORM_EPS)
 
 
-def self_attention(x: Tensor, p: Attention, n_heads: int,
+def self_attention(x: Tensor, norm: Norm, p: Attention, n_heads: int,
                    return_weights: bool = False):
-    """Multi-head scaled dot-product attention over all positions (full
-    context, no masking), recorded as one tape entry.
+    """Pre-norm and multi-head scaled dot-product attention over all
+    positions (full context, no masking), recorded as one tape entry.
 
     The heads run as batched (H, T, d_h) products and the softmax subtracts
     each row's maximum, so extreme scores stay finite.  The backward is
@@ -181,7 +184,7 @@ def self_attention(x: Tensor, p: Attention, n_heads: int,
         raise ValueError(f"width {d} not divisible into {n_heads} heads")
     head_dim = d // n_heads
     c = 1.0 / math.sqrt(head_dim)
-    xd = x.data
+    xn, xhat, inv = _norm(x.data, norm)
 
     def split(m):  # (T, D) -> (H, T, d_h)
         return m.reshape(steps, n_heads, head_dim).transpose(1, 0, 2)
@@ -189,9 +192,9 @@ def self_attention(x: Tensor, p: Attention, n_heads: int,
     def merge(m):  # (H, T, d_h) -> (T, D), heads side by side
         return m.transpose(1, 0, 2).reshape(steps, d)
 
-    q = split(xd @ p.wq.data + p.bq.data)
-    k = split(xd @ p.wk.data + p.bk.data)
-    v = split(xd @ p.wv.data + p.bv.data)
+    q = split(xn @ p.wq.data + p.bq.data)
+    k = split(xn @ p.wk.data + p.bk.data)
+    v = split(xn @ p.wv.data + p.bv.data)
     scores = (q @ k.transpose(0, 2, 1)) * c
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     attn = e / e.sum(axis=-1, keepdims=True)
@@ -204,46 +207,88 @@ def self_attention(x: Tensor, p: Attention, n_heads: int,
         dq = merge(d_scores @ k)
         dk = merge(d_scores.transpose(0, 2, 1) @ q)
         dv = merge(attn.transpose(0, 2, 1) @ d_ctx)
-        dx = dq @ p.wq.data.T + dk @ p.wk.data.T + dv @ p.wv.data.T
-        return (dx, xd.T @ dq, dq.sum(axis=0), xd.T @ dk, dk.sum(axis=0),
-                xd.T @ dv, dv.sum(axis=0), context.T @ g, g.sum(axis=0))
+        dxn = dq @ p.wq.data.T + dk @ p.wk.data.T + dv @ p.wv.data.T
+        return (*_norm_backward(dxn, norm.gain.data, xhat, inv),
+                xn.T @ dq, dq.sum(axis=0), xn.T @ dk, dk.sum(axis=0),
+                xn.T @ dv, dv.sum(axis=0), context.T @ g, g.sum(axis=0))
     out = record_op(context @ p.wo.data + p.bo.data,
-                    (x, p.wq, p.bq, p.wk, p.bk, p.wv, p.bv, p.wo, p.bo), bfn)
+                    (x, norm.gain, norm.bias, p.wq, p.bq, p.wk, p.bk, p.wv, p.bv,
+                     p.wo, p.bo), bfn)
     return (out, [Tensor(a) for a in attn]) if return_weights else out
 
 
-def _feed_forward(x: Tensor, p: FeedForward, activation: str) -> Tensor:
-    """Position-wise two-layer feed-forward with a relu or swish between,
-    recorded as one tape entry with an analytic backward."""
+def _feed_forward(x: Tensor, norm: Norm, p: FeedForward, activation: str) -> Tensor:
+    """Pre-norm and position-wise two-layer feed-forward with a relu or
+    swish between, recorded as one tape entry with an analytic backward."""
     if activation not in ("relu", "swish"):
         raise ValueError(f"unknown activation {activation!r}")
-    xd = x.data
-    h = xd @ p.w1.data + p.b1.data
+    xn, xhat, inv = _norm(x.data, norm)
+    h = xn @ p.w1.data + p.b1.data
     s = _sigmoid(h) if activation == "swish" else None
     a = np.maximum(h, 0.0) if s is None else h * s
 
     def bfn(g):
         da = g @ p.w2.data.T
         dh = da * (h > 0) if s is None else da * (s + a * (1.0 - s))
-        return dh @ p.w1.data.T, xd.T @ dh, dh.sum(axis=0), a.T @ g, g.sum(axis=0)
-    return record_op(a @ p.w2.data + p.b2.data, (x, p.w1, p.b1, p.w2, p.b2), bfn)
+        return (*_norm_backward(dh @ p.w1.data.T, norm.gain.data, xhat, inv),
+                xn.T @ dh, dh.sum(axis=0), a.T @ g, g.sum(axis=0))
+    return record_op(a @ p.w2.data + p.b2.data,
+                     (x, norm.gain, norm.bias, p.w1, p.b1, p.w2, p.b2), bfn)
 
 
-def _conv_module(x: Tensor, p: ConvModule) -> Tensor:
-    # pointwise expansion x2 -> GLU -> depthwise conv -> norm -> swish -> pointwise
-    h = glu(add(matmul(x, p.pw1_w), p.pw1_b))
-    h = add(depthwise_conv1d(h, p.kernel), p.kernel_bias)
-    h = swish(_norm(h, p.norm))
-    return add(matmul(h, p.pw2_w), p.pw2_b)
+def _conv_module(x: Tensor, norm: Norm, p: ConvModule) -> Tensor:
+    """Pre-norm and Conformer convolution module, recorded as one tape entry:
+    pointwise expansion x2 -> GLU -> depthwise conv over time (same
+    padding, odd kernel) -> norm -> swish -> pointwise.
+
+    Forward and backward keep the operation order of the same chain built
+    from tensor primitives, so float32 results are bit-equal to it: the GLU
+    gate's gradient is ((g * a) * s) * (1 - s) and the swish's
+    g * (s + (n * s) * (1 - s)).
+    """
+    xn, xhat, inv = _norm(x.data, norm)
+    h = xn @ p.pw1_w.data + p.pw1_b.data
+    half = h.shape[1] // 2
+    a = h[:, :half]
+    gate = _sigmoid(h[:, half:])
+    glu = a * gate
+    steps, width = glu.shape[0], p.kernel.shape[0]
+    pad = width // 2
+    padded = np.zeros((steps + 2 * pad, half), dtype=glu.dtype)
+    padded[pad:pad + steps] = glu
+    conv = np.zeros_like(glu)
+    for j in range(width):
+        conv += padded[j:j + steps] * p.kernel.data[j]
+    n, nhat, ninv = _norm(conv + p.kernel_bias.data, p.norm)
+    s = _sigmoid(n)
+    act = n * s
+
+    def bfn(g):
+        dn = (g @ p.pw2_w.data.T) * (s + n * s * (1.0 - s))
+        dconv, dngain, dnbias = _norm_backward(dn, p.norm.gain.data, nhat, ninv)
+        dkernel = np.empty_like(p.kernel.data)
+        dpadded = np.zeros_like(padded)
+        for j in range(width):
+            dkernel[j] = (padded[j:j + steps] * dconv).sum(axis=0)
+            dpadded[j:j + steps] += dconv * p.kernel.data[j]
+        dglu = dpadded[pad:pad + steps]
+        dh = np.concatenate((dglu * gate, dglu * a * gate * (1.0 - gate)), axis=1)
+        return (*_norm_backward(dh @ p.pw1_w.data.T, norm.gain.data, xhat, inv),
+                xn.T @ dh, dh.sum(axis=0), dkernel, dconv.sum(axis=0),
+                dngain, dnbias, act.T @ g, g.sum(axis=0))
+    return record_op(act @ p.pw2_w.data + p.pw2_b.data,
+                     (x, norm.gain, norm.bias, p.pw1_w, p.pw1_b, p.kernel,
+                      p.kernel_bias, p.norm.gain, p.norm.bias, p.pw2_w, p.pw2_b),
+                     bfn)
 
 
 def transformer_layer(x: Tensor, p: TransformerLayer, n_heads: int,
                       branch_scale: float = 1.0) -> Tensor:
-    a = self_attention(_norm(x, p.att_norm), p.attention, n_heads)
+    a = self_attention(x, p.att_norm, p.attention, n_heads)
     if branch_scale != 1.0:
         a = scale(a, branch_scale)
     x = add(x, a)
-    f = _feed_forward(_norm(x, p.ffn_norm), p.ffn, "relu")
+    f = _feed_forward(x, p.ffn_norm, p.ffn, "relu")
     if branch_scale != 1.0:
         f = scale(f, branch_scale)
     return add(x, f)
@@ -251,19 +296,19 @@ def transformer_layer(x: Tensor, p: TransformerLayer, n_heads: int,
 
 def conformer_layer(x: Tensor, p: ConformerLayer, n_heads: int,
                     branch_scale: float = 1.0) -> Tensor:
-    x = add(x, scale(_feed_forward(_norm(x, p.ffn1_norm), p.ffn1, "swish"),
+    x = add(x, scale(_feed_forward(x, p.ffn1_norm, p.ffn1, "swish"),
                      0.5 * branch_scale))
-    a = self_attention(_norm(x, p.att_norm), p.attention, n_heads)
+    a = self_attention(x, p.att_norm, p.attention, n_heads)
     if branch_scale != 1.0:
         a = scale(a, branch_scale)
     x = add(x, a)
-    c = _conv_module(_norm(x, p.conv_norm), p.conv)
+    c = _conv_module(x, p.conv_norm, p.conv)
     if branch_scale != 1.0:
         c = scale(c, branch_scale)
     x = add(x, c)
-    x = add(x, scale(_feed_forward(_norm(x, p.ffn2_norm), p.ffn2, "swish"),
+    x = add(x, scale(_feed_forward(x, p.ffn2_norm, p.ffn2, "swish"),
                      0.5 * branch_scale))
-    return _norm(x, p.out_norm)
+    return layer_norm(x, p.out_norm.gain, p.out_norm.bias, eps=NORM_EPS)
 
 
 @functools.lru_cache(maxsize=64)

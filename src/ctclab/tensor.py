@@ -5,10 +5,13 @@ comparisons) and float32 for training and checkpoint storage.  Every op
 checks its output for NaN/Inf; producing a non-finite value from finite
 inputs is a contract violation and raises FloatingPointError.
 
-The primitives here are small elementwise and linear ops.  Larger blocks
-with an analytic backward (the encoder's fused multi-head attention and
-feed-forward) register themselves through `record_op` and are one tape
-entry each.
+The primitives here are the few the rest of the program composes: add
+(with a broadcast bias), mul, scale, matmul, log_softmax, layer_norm and
+sum_all.  Larger blocks with an analytic backward (the encoder's
+norm-folded attention, feed-forward and conv module) register themselves
+through `record_op` and are one tape entry each; they share the numpy
+helpers `_sigmoid`, `_norm_forward` and `_norm_backward` with the
+primitives.
 
 Tape lifetime: a tape owns its entries, and so every recorded output and
 the closures of their backward functions, but a tensor refers back to its
@@ -248,35 +251,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                    lambda g: (g @ b.data.T, a.data.T @ g))
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    s = _sigmoid(x.data)
-    return _finish(s, (x,), lambda g: (g * s * (1.0 - s),))
-
-
 def _sigmoid(v: np.ndarray) -> np.ndarray:
-    # piecewise form avoids overflow in exp for large |v|
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
-
-
-def swish(x: Tensor) -> Tensor:
-    s = _sigmoid(x.data)
-    return _finish(x.data * s, (x,),
-                   lambda g: (g * (s + x.data * s * (1.0 - s)),))
-
-
-def glu(x: Tensor) -> Tensor:
-    """Gated linear unit over the last axis: first half gated by the sigmoid
-    of the second half."""
-    width = x.shape[-1]
-    if width % 2:
-        raise ValueError(f"glu needs an even last extent, got {width}")
-    half = width // 2
-    return mul(slice_last(x, 0, half), sigmoid(slice_last(x, half, width)))
+    # exp of -|v| never overflows; each branch is the piecewise form's
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -288,66 +266,36 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _finish(y, (x,), bfn)
 
 
+def _norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                  eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Layer norm over the last axis: (gain * xhat + bias, xhat, inv), with
+    the population variance.  The sums and divisions are the ones np.mean
+    and np.var make, so the bits are theirs."""
+    n = x.shape[-1]
+    c = x - x.sum(axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt((c * c).sum(axis=-1, keepdims=True) / n + eps)
+    xhat = c * inv
+    return xhat * gain + bias, xhat, inv
+
+
+def _norm_backward(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray,
+                   inv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adjoints (dx, dgain, dbias) of `_norm_forward` for the output adjoint g."""
+    n = g.shape[-1]
+    lead = tuple(range(g.ndim - 1))
+    gx = g * gain
+    dx = inv * (gx - gx.sum(axis=-1, keepdims=True) / n
+                - xhat * ((gx * xhat).sum(axis=-1, keepdims=True) / n))
+    return dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis to zero mean / unit variance (population
     variance), then apply the affine transform gain * xhat + bias."""
     _check_same_dtype(x, gain, "layer_norm")
-    mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * inv
-    lead = tuple(range(x.data.ndim - 1))
-
-    def bfn(g):
-        gx = g * gain.data
-        n = x.shape[-1]
-        dx = inv * (gx - gx.mean(axis=-1, keepdims=True)
-                    - xhat * (gx * xhat).mean(axis=-1, keepdims=True))
-        return dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
-    return _finish(xhat * gain.data + bias.data, (x, gain, bias), bfn)
-
-
-def depthwise_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
-    """Per-channel 1-d convolution with same padding.
-
-    x is (T, C), kernel is (K, C) with odd K; each channel is convolved
-    independently and the output keeps length T.
-    """
-    _check_same_dtype(x, kernel, "depthwise_conv1d")
-    if x.data.ndim != 2 or kernel.data.ndim != 2:
-        raise ValueError("depthwise_conv1d expects rank-2 input and kernel")
-    steps, channels = x.shape
-    width, kc = kernel.shape
-    if kc != channels:
-        raise ValueError(f"kernel channels {kc} != input channels {channels}")
-    if width % 2 == 0:
-        raise ValueError(f"kernel width must be odd, got {width}")
-    pad = width // 2
-    xp = np.zeros((steps + 2 * pad, channels), dtype=x.data.dtype)
-    xp[pad:pad + steps] = x.data
-    out = np.zeros_like(x.data)
-    for j in range(width):
-        out += xp[j:j + steps] * kernel.data[j]
-
-    def bfn(g):
-        dk = np.empty_like(kernel.data)
-        dxp = np.zeros_like(xp)
-        for j in range(width):
-            dk[j] = (xp[j:j + steps] * g).sum(axis=0)
-            dxp[j:j + steps] += g * kernel.data[j]
-        return dxp[pad:pad + steps], dk
-    return _finish(out, (x, kernel), bfn)
-
-
-def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
-    if not 0 <= start < stop <= x.shape[-1]:
-        raise ValueError(f"slice [{start}:{stop}] out of range for shape {x.shape}")
-
-    def bfn(g):
-        full = np.zeros_like(x.data)
-        full[..., start:stop] = g
-        return (full,)
-    return _finish(np.ascontiguousarray(x.data[..., start:stop]), (x,), bfn)
+    y, xhat, inv = _norm_forward(x.data, gain.data, bias.data, eps)
+    return _finish(y, (x, gain, bias),
+                   lambda g: _norm_backward(g, gain.data, xhat, inv))
 
 
 def sum_all(x: Tensor) -> Tensor:

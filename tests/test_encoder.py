@@ -8,14 +8,17 @@ from ctclab.encoder import (
     EncoderConfig,
     FeedForward,
     LayerTrace,
+    Norm,
+    _conv_module,
     _feed_forward,
+    _named_tensors,
     conformer_layer,
     self_attention,
     sinusoidal_encoding,
     survival_probability,
     transformer_layer,
 )
-from ctclab.tensor import Tape, Tensor, gradcheck, mul, sum_all
+from ctclab.tensor import Tape, Tensor, add, gradcheck, layer_norm, matmul, mul, sum_all
 
 
 def tiny_config(kind="transformer", **kw):
@@ -31,15 +34,28 @@ def zero_out(*tensors):
 
 
 def randomize(params, rng):
-    """Fill every tensor of a parameter container, biases included."""
-    for t in vars(params).values():
+    """Fill every tensor of a parameter container, biases and nested norms
+    included."""
+    for _, t in _named_tensors(params, ""):
         t.data[...] = rng.uniform(-1.0, 1.0, size=t.shape)
     return params
 
 
-def reference_attention(x, p, n_heads):
-    """Float64 per-head composition: slice each head's columns, softmax its
-    scores, and concatenate the heads' outputs."""
+def unit_norm(width):
+    return Norm(Tensor(np.ones(width), requires_grad=True),
+                Tensor(np.zeros(width), requires_grad=True))
+
+
+def reference_norm(x, p):
+    mean = x.mean(axis=-1, keepdims=True)
+    return (x - mean) / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5) * p.gain.data \
+        + p.bias.data
+
+
+def reference_attention(x, norm, p, n_heads):
+    """Float64 per-head composition after the pre-norm: slice each head's
+    columns, softmax its scores, and concatenate the heads' outputs."""
+    x = reference_norm(x, norm)
     q, k, v = (x @ w.data + b.data
                for w, b in ((p.wq, p.bq), (p.wk, p.bk), (p.wv, p.bv)))
     head_dim = x.shape[1] // n_heads
@@ -52,10 +68,30 @@ def reference_attention(x, p, n_heads):
     return np.concatenate(outputs, axis=1) @ p.wo.data + p.bo.data
 
 
-def reference_feed_forward(x, p, activation):
-    h = x @ p.w1.data + p.b1.data
+def reference_feed_forward(x, norm, p, activation):
+    h = reference_norm(x, norm) @ p.w1.data + p.b1.data
     a = np.maximum(h, 0.0) if activation == "relu" else h / (1.0 + np.exp(-h))
     return a @ p.w2.data + p.b2.data
+
+
+def reference_conv_tail(glu, p):
+    """Depthwise conv with same padding, summed tap by tap, then norm,
+    swish and the output pointwise layer."""
+    steps, width = glu.shape[0], p.kernel.shape[0]
+    conv = np.tile(p.kernel_bias.data, (steps, 1))
+    for t in range(steps):
+        for j in range(width):
+            src = t + j - width // 2
+            if 0 <= src < steps:
+                conv[t] += glu[src] * p.kernel.data[j]
+    n = reference_norm(conv, p.norm)
+    return (n / (1.0 + np.exp(-n))) @ p.pw2_w.data + p.pw2_b.data
+
+
+def reference_conv_module(x, norm, p):
+    h = reference_norm(x, norm) @ p.pw1_w.data + p.pw1_b.data
+    half = h.shape[1] // 2
+    return reference_conv_tail(h[:, :half] / (1.0 + np.exp(-h[:, half:])), p)
 
 
 class TestConfig:
@@ -170,18 +206,18 @@ class TestLayers:
 
 class TestSelfAttention:
     def test_single_position_is_value_projection(self):
-        enc = Encoder.build(tiny_config())
-        p = enc.layers[0].attention
+        layer = Encoder.build(tiny_config()).layers[0]
+        norm, p = layer.att_norm, layer.attention
         x = Tensor(np.random.default_rng(5).normal(size=(1, 8)))
-        out = self_attention(x, p, n_heads=2)
-        from ctclab.tensor import add, matmul
-        expect = add(matmul(add(matmul(x, p.wv), p.bv), p.wo), p.bo)
+        out = self_attention(x, norm, p, n_heads=2)
+        xn = layer_norm(x, norm.gain, norm.bias, eps=1e-5)
+        expect = add(matmul(add(matmul(xn, p.wv), p.bv), p.wo), p.bo)
         np.testing.assert_allclose(out.data, expect.data, atol=1e-12)
 
     def test_attention_rows_sum_to_one(self):
-        enc = Encoder.build(tiny_config())
+        layer = Encoder.build(tiny_config()).layers[0]
         x = Tensor(np.random.default_rng(6).normal(size=(7, 8)))
-        _, weights = self_attention(x, enc.layers[0].attention, n_heads=2,
+        _, weights = self_attention(x, layer.att_norm, layer.attention, n_heads=2,
                                     return_weights=True)
         for attn in weights:
             np.testing.assert_allclose(attn.data.sum(axis=-1), np.ones(7),
@@ -189,55 +225,59 @@ class TestSelfAttention:
 
     def test_matches_per_head_composition(self):
         rng = np.random.default_rng(14)
-        enc = Encoder.build(tiny_config())
-        p = randomize(enc.layers[0].attention, rng)
+        layer = Encoder.build(tiny_config()).layers[0]
+        norm, p = randomize(layer.att_norm, rng), randomize(layer.attention, rng)
         x = rng.normal(size=(7, 8))
-        out = self_attention(Tensor(x), p, n_heads=2)
-        np.testing.assert_allclose(out.data, reference_attention(x, p, 2),
+        out = self_attention(Tensor(x), norm, p, n_heads=2)
+        np.testing.assert_allclose(out.data, reference_attention(x, norm, p, 2),
                                    rtol=0, atol=1e-12)
 
     def test_equal_scores_average_the_values(self):
         # zero queries give every key the same score, so each row of each
         # map is uniform and every position gets the mean value
         rng = np.random.default_rng(15)
-        enc = Encoder.build(tiny_config())
-        p = randomize(enc.layers[0].attention, rng)
+        layer = Encoder.build(tiny_config()).layers[0]
+        norm, p = randomize(layer.att_norm, rng), randomize(layer.attention, rng)
         zero_out(p.wq, p.bq)
         x = rng.normal(size=(5, 8))
-        out, weights = self_attention(Tensor(x), p, n_heads=2, return_weights=True)
+        out, weights = self_attention(Tensor(x), norm, p, n_heads=2,
+                                      return_weights=True)
         for attn in weights:
             np.testing.assert_allclose(attn.data, np.full((5, 5), 0.2),
                                        rtol=0, atol=1e-15)
-        mean_value = (x @ p.wv.data + p.bv.data).mean(axis=0)
+        mean_value = (reference_norm(x, norm) @ p.wv.data + p.bv.data).mean(axis=0)
         expect = np.tile(mean_value @ p.wo.data + p.bo.data, (5, 1))
         np.testing.assert_allclose(out.data, expect, rtol=0, atol=1e-12)
 
     def test_extreme_scores_stay_finite(self):
-        # one head whose score rows are permutations of (1000, 0, -1000):
-        # the max-subtracted softmax gives exact one-hot maps, and the
-        # backward stays finite
-        a = np.sqrt(1000.0 * np.sqrt(2.0))
-        eye, zero = np.eye(2), np.zeros(2)
+        # one head over rows that the pre-norm leaves as u, w and -u, with u
+        # and w orthogonal: score rows (1000, 0, -1000), (0, 1000, 0) and
+        # (-1000, 0, 1000) to within the norm's eps.  The max-subtracted
+        # softmax gives exact one-hot maps, and the backward stays finite
+        a = np.sqrt(500.0)
+        eye, zero = np.eye(4), np.zeros(4)
         p = Attention(*(Tensor(m, requires_grad=True) for m in
                         (a * eye, zero, a * eye, zero, eye, zero, eye, zero)))
-        x = Tensor([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], requires_grad=True)
-        w = Tensor(np.random.default_rng(16).uniform(-1, 1, size=(3, 2)))
+        norm = unit_norm(4)
+        x = Tensor([[1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0],
+                    [-1.0, 1.0, -1.0, 1.0]], requires_grad=True)
+        w = Tensor(np.random.default_rng(16).uniform(-1, 1, size=(3, 4)))
         with Tape() as tape:
-            out, weights = self_attention(x, p, n_heads=1, return_weights=True)
+            out, weights = self_attention(x, norm, p, n_heads=1, return_weights=True)
             loss = sum_all(mul(out, w))
         tape.backward(loss)
         np.testing.assert_allclose(weights[0].data, np.eye(3), rtol=0, atol=1e-300)
-        np.testing.assert_array_equal(out.data, x.data)
-        for t in (x, *vars(p).values()):
+        np.testing.assert_array_equal(out.data, layer_norm(x, norm.gain, norm.bias).data)
+        for t in (x, norm.gain, norm.bias, *vars(p).values()):
             assert np.isfinite(t.grad).all()
 
     def test_permutation_equivariance(self):
-        enc = Encoder.build(tiny_config())
+        layer = Encoder.build(tiny_config()).layers[0]
         rng = np.random.default_rng(7)
         x = rng.normal(size=(6, 8))
         perm = rng.permutation(6)
-        out = self_attention(Tensor(x), enc.layers[0].attention, 2)
-        out_perm = self_attention(Tensor(x[perm]), enc.layers[0].attention, 2)
+        out = self_attention(Tensor(x), layer.att_norm, layer.attention, 2)
+        out_perm = self_attention(Tensor(x[perm]), layer.att_norm, layer.attention, 2)
         np.testing.assert_allclose(out_perm.data, out.data[perm], atol=1e-12)
 
 
@@ -245,51 +285,126 @@ class TestFeedForward:
     @pytest.mark.parametrize("activation", ["relu", "swish"])
     def test_matches_composition(self, activation):
         rng = np.random.default_rng(17)
-        p = randomize(Encoder.build(tiny_config()).layers[0].ffn, rng)
+        layer = Encoder.build(tiny_config()).layers[0]
+        norm, p = randomize(layer.ffn_norm, rng), randomize(layer.ffn, rng)
         x = rng.normal(size=(6, 8))
-        out = _feed_forward(Tensor(x), p, activation)
-        np.testing.assert_allclose(out.data, reference_feed_forward(x, p, activation),
+        out = _feed_forward(Tensor(x), norm, p, activation)
+        np.testing.assert_allclose(out.data,
+                                   reference_feed_forward(x, norm, p, activation),
                                    rtol=0, atol=1e-12)
 
     def test_relu_zero_gradient_on_negative_inputs(self):
+        # the pre-norm maps (-1, 0, 2) to about (-1.07, -0.27, 1.34), so the
+        # first two hidden units are off and pass no gradient to their bias
         eye = np.eye(3)
-        p = FeedForward(Tensor(eye), Tensor(np.zeros(3)), Tensor(eye),
-                        Tensor(np.zeros(3)))
+        p = FeedForward(Tensor(eye), Tensor(np.zeros(3), requires_grad=True),
+                        Tensor(eye), Tensor(np.zeros(3)))
+        norm = unit_norm(3)
         x = Tensor([[-1.0, 0.0, 2.0]], requires_grad=True)
         with Tape() as tape:
-            out = _feed_forward(x, p, "relu")
+            out = _feed_forward(x, norm, p, "relu")
             loss = sum_all(out)
         tape.backward(loss)
-        np.testing.assert_array_equal(out.data, [[0.0, 0.0, 2.0]])
-        np.testing.assert_array_equal(x.grad, [[0.0, 0.0, 1.0]])
+        xn = layer_norm(x, norm.gain, norm.bias).data
+        np.testing.assert_array_equal(out.data, np.maximum(xn, 0.0))
+        np.testing.assert_array_equal(p.b1.grad, [0.0, 0.0, 1.0])
 
     def test_unknown_activation_rejected(self):
-        p = Encoder.build(tiny_config()).layers[0].ffn
+        layer = Encoder.build(tiny_config()).layers[0]
         with pytest.raises(ValueError):
-            _feed_forward(Tensor(np.ones((2, 8))), p, "tanh")
+            _feed_forward(Tensor(np.ones((2, 8))), layer.ffn_norm, layer.ffn, "tanh")
+
+
+class TestConvModule:
+    def conv(self, rng):
+        layer = Encoder.build(tiny_config("conformer", conv_kernel=3)).layers[0]
+        return randomize(layer.conv_norm, rng), randomize(layer.conv, rng)
+
+    def test_matches_composition(self):
+        rng = np.random.default_rng(19)
+        norm, p = self.conv(rng)
+        x = rng.normal(size=(6, 8))
+        out = _conv_module(Tensor(x), norm, p)
+        np.testing.assert_allclose(out.data, reference_conv_module(x, norm, p),
+                                   rtol=0, atol=1e-12)
+
+    def test_glu_zero_gate_halves(self):
+        # sigmoid(0) = 1/2, so a zero gate passes half of each value
+        rng = np.random.default_rng(20)
+        norm, p = self.conv(rng)
+        p.pw1_w.data[:, 8:] = 0.0
+        p.pw1_b.data[8:] = 0.0
+        x = rng.normal(size=(5, 8))
+        values = reference_norm(x, norm) @ p.pw1_w.data[:, :8] + p.pw1_b.data[:8]
+        out = _conv_module(Tensor(x), norm, p)
+        np.testing.assert_allclose(out.data, reference_conv_tail(0.5 * values, p),
+                                   rtol=0, atol=1e-12)
+
+    def test_identity_kernel(self):
+        # a unit impulse at the centre tap makes the depthwise conv the
+        # identity, whatever the length
+        rng = np.random.default_rng(21)
+        norm, p = self.conv(rng)
+        p.kernel.data[...] = 0.0
+        p.kernel.data[1] = 1.0
+        p.kernel_bias.data[...] = 0.0
+        for steps in (1, 2, 6):
+            x = rng.normal(size=(steps, 8))
+            h = reference_norm(x, norm) @ p.pw1_w.data + p.pw1_b.data
+            glu = h[:, :8] / (1.0 + np.exp(-h[:, 8:]))
+            n = reference_norm(glu, p.norm)
+            expect = (n / (1.0 + np.exp(-n))) @ p.pw2_w.data + p.pw2_b.data
+            out = _conv_module(Tensor(x), norm, p)
+            np.testing.assert_allclose(out.data, expect, rtol=0, atol=1e-12)
+
+    def test_zero_kernel_output_ignores_input(self):
+        rng = np.random.default_rng(22)
+        norm, p = self.conv(rng)
+        zero_out(p.kernel)
+        a = _conv_module(Tensor(rng.normal(size=(4, 8))), norm, p)
+        b = _conv_module(Tensor(rng.normal(size=(4, 8))), norm, p)
+        np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(a.data, np.tile(a.data[0], (4, 1)))
+
+    @pytest.mark.parametrize("kernel", [1, 3, 7])
+    @pytest.mark.parametrize("steps", [1, 2, 9])
+    def test_output_keeps_length(self, kernel, steps):
+        layer = Encoder.build(tiny_config("conformer", conv_kernel=kernel)).layers[0]
+        out = _conv_module(Tensor(np.random.default_rng(23).normal(size=(steps, 8))),
+                           layer.conv_norm, layer.conv)
+        assert out.shape == (steps, 8)
 
 
 class TestFusedGradients:
-    """The fused blocks against central differences, at the primitive
-    tolerance."""
+    """The fused blocks, pre-norm included, against central differences, at
+    the primitive tolerance."""
 
-    @pytest.mark.parametrize("block", ["attention", "relu", "swish"])
+    @pytest.mark.parametrize("block", ["attention", "relu", "swish", "conv"])
     def test_gradcheck(self, block):
         rng = np.random.default_rng(18)
-        layer = Encoder.build(tiny_config()).layers[0]
+        layer = Encoder.build(tiny_config("conformer")).layers[0]
         x = Tensor(rng.uniform(-2, 2, size=(4, 8)), requires_grad=True)
         w = Tensor(rng.uniform(-1, 1, size=(4, 8)))
         if block == "attention":
-            p = randomize(layer.attention, rng)
+            norm, p = layer.att_norm, layer.attention
 
-            def f():
-                return sum_all(mul(self_attention(x, p, n_heads=2), w))
+            def fn():
+                return self_attention(x, norm, p, n_heads=2)
+        elif block == "conv":
+            norm, p = layer.conv_norm, layer.conv
+
+            def fn():
+                return _conv_module(x, norm, p)
         else:
-            p = randomize(layer.ffn, rng)
+            norm, p = layer.ffn1_norm, layer.ffn1
 
-            def f():
-                return sum_all(mul(_feed_forward(x, p, block), w))
-        report = gradcheck(f, {"x": x, **vars(p)})
+            def fn():
+                return _feed_forward(x, norm, p, block)
+        randomize(norm, rng)
+        randomize(p, rng)
+        params = {"x": x, **dict(_named_tensors(norm, "pre_norm")),
+                  **dict(_named_tensors(p, "block"))}
+        report = gradcheck(lambda: sum_all(mul(fn(), w)), params)
         assert report.max_rel_error < 1e-6
 
 
