@@ -77,24 +77,18 @@ def ctc_forward_backward(grid: np.ndarray,
     emit = arr[:, ext]  # (T, S) emission log-probs per lattice state
 
     # skip transition s-2 -> s exists when state s is a label differing from
-    # the label two states back
-    can_skip = np.zeros(states, dtype=bool)
-    if states > 2:
-        can_skip[2:] = (ext[2:] != BLANK) & (ext[2:] != ext[:-2])
+    # the label two states back; adding -inf where it does not leaves
+    # logaddexp's other operand exactly as it is
+    skip = np.where((ext[2:] != BLANK) & (ext[2:] != ext[:-2]), 0.0, -np.inf)
 
-    neg_inf = -np.inf
-    alpha = np.full((steps, states), neg_inf)
-    alpha[0, 0] = emit[0, 0]
-    if states > 1:
-        alpha[0, 1] = emit[0, 1]
+    alpha = np.full((steps, states), -np.inf)
+    alpha[0, :2] = emit[0, :2]
     for t in range(1, steps):
-        prev = alpha[t - 1]
-        acc = prev.copy()
-        acc[1:] = np.logaddexp(acc[1:], prev[:-1])
-        if states > 2:
-            acc[2:] = np.where(can_skip[2:],
-                               np.logaddexp(acc[2:], prev[:-2]), acc[2:])
-        alpha[t] = acc + emit[t]
+        prev, row = alpha[t - 1], alpha[t]
+        row[0] = prev[0]
+        np.logaddexp(prev[1:], prev[:-1], out=row[1:])
+        np.logaddexp(row[2:], prev[:-2] + skip, out=row[2:])
+        row += emit[t]
 
     log_p = alpha[-1, -1]
     if states > 1:
@@ -102,23 +96,20 @@ def ctc_forward_backward(grid: np.ndarray,
     if not np.isfinite(log_p):
         raise InfeasibleTargetError("no feasible alignment (zero likelihood)")
 
-    beta = np.full((steps, states), neg_inf)
-    beta[-1, -1] = 0.0
-    if states > 1:
-        beta[-1, -2] = 0.0
+    beta = np.full((steps, states), -np.inf)
+    beta[-1, -2:] = 0.0
+    nxt = np.empty(states)
     for t in range(steps - 2, -1, -1):
-        nxt = beta[t + 1] + emit[t + 1]
-        acc = nxt.copy()
-        acc[:-1] = np.logaddexp(acc[:-1], nxt[1:])
-        if states > 2:
-            acc[:-2] = np.where(can_skip[2:],
-                                np.logaddexp(acc[:-2], nxt[2:]), acc[:-2])
-        beta[t] = acc
+        np.add(beta[t + 1], emit[t + 1], out=nxt)
+        row = beta[t]
+        row[-1] = nxt[-1]
+        np.logaddexp(nxt[:-1], nxt[1:], out=row[:-1])
+        np.logaddexp(row[:-2], nxt[2:] + skip, out=row[:-2])
 
     occupancy = np.exp(alpha + beta - log_p)  # (T, S)
     dgrid = np.zeros_like(arr)
-    rows = np.repeat(np.arange(steps), states)
-    np.add.at(dgrid, (rows, np.tile(ext, steps)), -occupancy.reshape(-1))
+    for state, sym in enumerate(ext):  # each state's column, in state order
+        dgrid[:, sym] -= occupancy[:, state]
     return float(-log_p), dgrid
 
 

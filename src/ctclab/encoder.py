@@ -13,6 +13,12 @@ analytic, so each costs one tape op per layer whatever the number of heads
 or kernel taps.  A Transformer layer is two such entries and a Conformer
 layer four plus its output norm, each with its residual adds and, in
 training, branch scales.
+
+Every op takes a (T, D) utterance or a (B, T, D) stack of equal-length
+utterances.  Only evaluation uses the leading axis: it decodes a stack per
+forward, with no padding and so no masks.  Training forwards one utterance
+per tape, where every reshape onto the leading axis is a no-op view and the
+arithmetic is that of plain (T, D) products.
 """
 from __future__ import annotations
 
@@ -165,56 +171,70 @@ def _norm(v: np.ndarray, p: Norm):
     return _norm_forward(v, p.gain.data, p.bias.data, NORM_EPS)
 
 
+def _rows(m: np.ndarray) -> np.ndarray:
+    """(..., D) -> (N, D): every position of every utterance in a stack as
+    one matrix, so each product is one 2-D matmul.  A no-op view at rank 2."""
+    return m.reshape(-1, m.shape[-1])
+
+
 def self_attention(x: Tensor, norm: Norm, p: Attention, n_heads: int,
                    return_weights: bool = False):
     """Pre-norm and multi-head scaled dot-product attention over all
-    positions (full context, no masking), recorded as one tape entry.
+    positions of each (T, D) utterance (full context, no masking), recorded
+    as one tape entry.  `x` is (T, D) or an equal-length (B, T, D) stack.
 
-    The heads run as batched (H, T, d_h) products and the softmax subtracts
-    each row's maximum, so extreme scores stay finite.  The backward is
-    analytic: dV = A^T dO, dA = dO V^T, dS = A * (dA - rowsum(dA * A)),
-    dQ = dS K / sqrt(d_h) and dK = dS^T Q / sqrt(d_h).  With
-    `return_weights`, the per-head (T, T) attention maps come back too, as
-    constant tensors.
+    The heads run as batched (..., H, T, d_h) products and the softmax
+    subtracts each row's maximum, so extreme scores stay finite.  The
+    backward is analytic: dV = A^T dO, dA = dO V^T,
+    dS = A * (dA - rowsum(dA * A)), dQ = dS K / sqrt(d_h) and
+    dK = dS^T Q / sqrt(d_h).  With `return_weights`, the (T, T) attention
+    maps come back too, one per utterance and head, as constant tensors.
     """
-    if x.data.ndim != 2:
-        raise ValueError(f"self_attention expects a rank-2 input, got {x.shape}")
-    steps, d = x.shape
+    if x.data.ndim < 2:
+        raise ValueError(f"self_attention expects a (..., T, D) input, got {x.shape}")
+    *lead, steps, d = x.shape
     if d % n_heads:
         raise ValueError(f"width {d} not divisible into {n_heads} heads")
     head_dim = d // n_heads
     c = 1.0 / math.sqrt(head_dim)
-    xn, xhat, inv = _norm(x.data, norm)
+    xn, xhat, inv = _norm(_rows(x.data), norm)
 
-    def split(m):  # (T, D) -> (H, T, d_h)
-        return m.reshape(steps, n_heads, head_dim).transpose(1, 0, 2)
+    def split(m):  # (N, D) -> (..., H, T, d_h)
+        return m.reshape(*lead, steps, n_heads, head_dim).swapaxes(-3, -2)
 
-    def merge(m):  # (H, T, d_h) -> (T, D), heads side by side
-        return m.transpose(1, 0, 2).reshape(steps, d)
+    def merge(m):  # (..., H, T, d_h) -> (N, D), heads side by side
+        return m.swapaxes(-3, -2).reshape(-1, d)
 
     q = split(xn @ p.wq.data + p.bq.data)
     k = split(xn @ p.wk.data + p.bk.data)
     v = split(xn @ p.wv.data + p.bv.data)
-    scores = (q @ k.transpose(0, 2, 1)) * c
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    attn = e / e.sum(axis=-1, keepdims=True)
+    # the softmax runs in place, so one (..., H, T, T) buffer is live at a time
+    attn = q @ k.swapaxes(-1, -2)
+    attn *= c
+    attn -= attn.max(axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
     context = merge(attn @ v)
 
     def bfn(g):
+        g = _rows(g)
         d_ctx = split(g @ p.wo.data.T)
-        d_attn = d_ctx @ v.transpose(0, 2, 1)
+        d_attn = d_ctx @ v.swapaxes(-1, -2)
         d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True)) * c
         dq = merge(d_scores @ k)
-        dk = merge(d_scores.transpose(0, 2, 1) @ q)
-        dv = merge(attn.transpose(0, 2, 1) @ d_ctx)
+        dk = merge(d_scores.swapaxes(-1, -2) @ q)
+        dv = merge(attn.swapaxes(-1, -2) @ d_ctx)
         dxn = dq @ p.wq.data.T + dk @ p.wk.data.T + dv @ p.wv.data.T
-        return (*_norm_backward(dxn, norm.gain.data, xhat, inv),
+        dx, dgain, dbias = _norm_backward(dxn, norm.gain.data, xhat, inv)
+        return (dx.reshape(x.shape), dgain, dbias,
                 xn.T @ dq, dq.sum(axis=0), xn.T @ dk, dk.sum(axis=0),
                 xn.T @ dv, dv.sum(axis=0), context.T @ g, g.sum(axis=0))
-    out = record_op(context @ p.wo.data + p.bo.data,
+    out = record_op((context @ p.wo.data + p.bo.data).reshape(x.shape),
                     (x, norm.gain, norm.bias, p.wq, p.bq, p.wk, p.bk, p.wv, p.bv,
                      p.wo, p.bo), bfn)
-    return (out, [Tensor(a) for a in attn]) if return_weights else out
+    if not return_weights:
+        return out
+    return out, [Tensor(a) for a in attn.reshape(-1, steps, steps)]
 
 
 def _feed_forward(x: Tensor, norm: Norm, p: FeedForward, activation: str) -> Tensor:
@@ -222,23 +242,25 @@ def _feed_forward(x: Tensor, norm: Norm, p: FeedForward, activation: str) -> Ten
     swish between, recorded as one tape entry with an analytic backward."""
     if activation not in ("relu", "swish"):
         raise ValueError(f"unknown activation {activation!r}")
-    xn, xhat, inv = _norm(x.data, norm)
+    xn, xhat, inv = _norm(_rows(x.data), norm)
     h = xn @ p.w1.data + p.b1.data
     s = _sigmoid(h) if activation == "swish" else None
     a = np.maximum(h, 0.0) if s is None else h * s
 
     def bfn(g):
+        g = _rows(g)
         da = g @ p.w2.data.T
         dh = da * (h > 0) if s is None else da * (s + a * (1.0 - s))
-        return (*_norm_backward(dh @ p.w1.data.T, norm.gain.data, xhat, inv),
+        dx, dgain, dbias = _norm_backward(dh @ p.w1.data.T, norm.gain.data, xhat, inv)
+        return (dx.reshape(x.shape), dgain, dbias,
                 xn.T @ dh, dh.sum(axis=0), a.T @ g, g.sum(axis=0))
-    return record_op(a @ p.w2.data + p.b2.data,
+    return record_op((a @ p.w2.data + p.b2.data).reshape(x.shape),
                      (x, norm.gain, norm.bias, p.w1, p.b1, p.w2, p.b2), bfn)
 
 
 def _conv_module(x: Tensor, norm: Norm, p: ConvModule) -> Tensor:
     """Pre-norm and Conformer convolution module, recorded as one tape entry:
-    pointwise expansion x2 -> GLU -> depthwise conv over time (same
+    pointwise expansion x2 -> GLU -> depthwise conv over time (axis -2, same
     padding, odd kernel) -> norm -> swish -> pointwise.
 
     Forward and backward keep the operation order of the same chain built
@@ -246,37 +268,40 @@ def _conv_module(x: Tensor, norm: Norm, p: ConvModule) -> Tensor:
     gate's gradient is ((g * a) * s) * (1 - s) and the swish's
     g * (s + (n * s) * (1 - s)).
     """
-    xn, xhat, inv = _norm(x.data, norm)
+    xn, xhat, inv = _norm(_rows(x.data), norm)
     h = xn @ p.pw1_w.data + p.pw1_b.data
     half = h.shape[1] // 2
     a = h[:, :half]
     gate = _sigmoid(h[:, half:])
-    glu = a * gate
-    steps, width = glu.shape[0], p.kernel.shape[0]
+    glu = (a * gate).reshape(*x.shape[:-1], half)
+    steps, width = x.shape[-2], p.kernel.shape[0]
     pad = width // 2
-    padded = np.zeros((steps + 2 * pad, half), dtype=glu.dtype)
-    padded[pad:pad + steps] = glu
+    padded = np.zeros((*x.shape[:-2], steps + 2 * pad, half), dtype=glu.dtype)
+    padded[..., pad:pad + steps, :] = glu
     conv = np.zeros_like(glu)
     for j in range(width):
-        conv += padded[j:j + steps] * p.kernel.data[j]
-    n, nhat, ninv = _norm(conv + p.kernel_bias.data, p.norm)
+        conv += padded[..., j:j + steps, :] * p.kernel.data[j]
+    n, nhat, ninv = _norm(_rows(conv) + p.kernel_bias.data, p.norm)
     s = _sigmoid(n)
     act = n * s
 
     def bfn(g):
+        g = _rows(g)
         dn = (g @ p.pw2_w.data.T) * (s + n * s * (1.0 - s))
         dconv, dngain, dnbias = _norm_backward(dn, p.norm.gain.data, nhat, ninv)
+        dconv = dconv.reshape(glu.shape)
         dkernel = np.empty_like(p.kernel.data)
         dpadded = np.zeros_like(padded)
         for j in range(width):
-            dkernel[j] = (padded[j:j + steps] * dconv).sum(axis=0)
-            dpadded[j:j + steps] += dconv * p.kernel.data[j]
-        dglu = dpadded[pad:pad + steps]
+            dkernel[j] = _rows(padded[..., j:j + steps, :] * dconv).sum(axis=0)
+            dpadded[..., j:j + steps, :] += dconv * p.kernel.data[j]
+        dglu = _rows(dpadded[..., pad:pad + steps, :])
         dh = np.concatenate((dglu * gate, dglu * a * gate * (1.0 - gate)), axis=1)
-        return (*_norm_backward(dh @ p.pw1_w.data.T, norm.gain.data, xhat, inv),
-                xn.T @ dh, dh.sum(axis=0), dkernel, dconv.sum(axis=0),
-                dngain, dnbias, act.T @ g, g.sum(axis=0))
-    return record_op(act @ p.pw2_w.data + p.pw2_b.data,
+        dx, dgain, dbias = _norm_backward(dh @ p.pw1_w.data.T, norm.gain.data, xhat, inv)
+        return (dx.reshape(x.shape), dgain, dbias, xn.T @ dh, dh.sum(axis=0),
+                dkernel, _rows(dconv).sum(axis=0), dngain, dnbias,
+                act.T @ g, g.sum(axis=0))
+    return record_op((act @ p.pw2_w.data + p.pw2_b.data).reshape(x.shape),
                      (x, norm.gain, norm.bias, p.pw1_w, p.pw1_b, p.kernel,
                       p.kernel_bias, p.norm.gain, p.norm.bias, p.pw2_w, p.pw2_b),
                      bfn)
@@ -389,20 +414,22 @@ class Encoder:
         return self.frontend_w.dtype
 
     def input_frontend(self, x0: Tensor) -> Tensor:
-        """Linear projection of the raw features plus the absolute sinusoidal
-        positional term."""
+        """Linear projection of the raw (..., T, F) features plus the absolute
+        sinusoidal positional term, one (T, D) table for every utterance."""
         if x0.shape[-1] != self.config.input_dim:
             raise ValueError(
                 f"expected input width {self.config.input_dim}, got {x0.shape[-1]}")
         proj = add(matmul(x0, self.frontend_w), self.frontend_b)
-        pos = Tensor(sinusoidal_encoding(x0.shape[0], self.config.d_model, self.dtype))
+        pos = Tensor(sinusoidal_encoding(x0.shape[-2], self.config.d_model, self.dtype))
         return add(proj, pos)
 
     def forward(self, x0: Tensor, mode: str = "eval",
                 rng: np.random.Generator | None = None) -> LayerTrace:
         """Run the stack, recording every intermediate representation.
 
-        In train mode each layer draws keep ~ Bernoulli(p_l); skipped layers
+        `x0` is one (T, F) utterance, or in eval mode also a (B, T, F) stack
+        of equal-length utterances, each row forwarded as if alone.  In
+        train mode each layer draws keep ~ Bernoulli(p_l); skipped layers
         are the identity and kept residual branches are scaled by 1/p_l.  In
         eval mode nothing is skipped and no scaling applies.
         """
@@ -411,6 +438,8 @@ class Encoder:
         training = mode == "train"
         if training and rng is None:
             raise ValueError("train mode needs an rng for the skip draws")
+        if training and x0.data.ndim != 2:
+            raise ValueError(f"train mode takes one (T, F) utterance, got {x0.shape}")
         cfg = self.config
         apply_layer = transformer_layer if cfg.kind == "transformer" else conformer_layer
         x = self.input_frontend(x0)

@@ -159,7 +159,9 @@ def total_loss(trace: LayerTrace, labels: Sequence[int],
     return LossBreakdown(total, final.item(), breakdown)
 
 
-def eval_decode(trace: LayerTrace, heads: CTCHeads) -> tuple[int, ...]:
-    """Greedy decode from the final representation only; intermediate heads
-    play no part at test time."""
-    return greedy_decode(heads.final(trace.final).data)
+def eval_decode(trace: LayerTrace, heads: CTCHeads) -> list[tuple[int, ...]]:
+    """Greedy decode of each utterance in a (T, D) or (B, T, D) trace, from
+    the final representation only; intermediate heads play no part at test
+    time."""
+    log_post = heads.final(trace.final).data
+    return [greedy_decode(grid) for grid in log_post.reshape(-1, *log_post.shape[-2:])]

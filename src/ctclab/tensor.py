@@ -6,8 +6,10 @@ checks its output for NaN/Inf; producing a non-finite value from finite
 inputs is a contract violation and raises FloatingPointError.
 
 The primitives here are the few the rest of the program composes: add
-(with a broadcast bias), mul, scale, matmul, log_softmax, layer_norm and
-sum_all.  Larger blocks with an analytic backward (the encoder's
+(broadcasting a bias or table over leading axes), mul, scale, matmul,
+log_softmax, layer_norm and sum_all.  Each takes a (T, D) array or a
+(B, T, D) stack of them; at rank 2 the arithmetic is that of plain 2-D
+products.  Larger blocks with an analytic backward (the encoder's
 norm-folded attention, feed-forward and conv module) register themselves
 through `record_op` and are one tape entry each; they share the numpy
 helpers `_sigmoid`, `_norm_forward` and `_norm_backward` with the
@@ -213,13 +215,14 @@ def _check_same_dtype(a: Tensor, b: Tensor, op: str) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; `b` may also be rank-1 and broadcast as a bias over
-    the leading axes of `a`."""
+    """Elementwise sum; `b` may also have the shape of `a`'s trailing axes
+    (a rank-1 bias, or a (T, D) table over a stack of (T, D) rows) and is
+    then broadcast over `a`'s leading axes."""
     _check_same_dtype(a, b, "add")
     if a.shape != b.shape:
-        if b.data.ndim != 1 or a.shape[-1] != b.shape[0]:
+        if b.data.ndim >= a.data.ndim or a.shape[-b.data.ndim:] != b.shape:
             raise ValueError(f"add: incompatible shapes {a.shape} and {b.shape}")
-        lead = tuple(range(a.data.ndim - 1))
+        lead = tuple(range(a.data.ndim - b.data.ndim))
 
         def bfn(g):
             return g, g.sum(axis=lead)
@@ -242,13 +245,19 @@ def scale(x: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b for a rank-2 weight `b`; a rank-3 `a` is a stack of rank-2 rows,
+    multiplied as one (-1, K) matrix."""
     _check_same_dtype(a, b, "matmul")
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError("matmul expects rank-2 operands")
-    if a.shape[1] != b.shape[0]:
+    if a.data.ndim not in (2, 3) or b.data.ndim != 2:
+        raise ValueError("matmul expects a rank-2 or rank-3 left operand and a "
+                         "rank-2 right operand")
+    if a.shape[-1] != b.shape[0]:
         raise ValueError(f"matmul: inner extents differ, {a.shape} @ {b.shape}")
-    return _finish(a.data @ b.data, (a, b),
-                   lambda g: (g @ b.data.T, a.data.T @ g))
+    rows = a.data.reshape(-1, b.shape[0])
+
+    def bfn(g):
+        return g @ b.data.T, rows.T @ g.reshape(-1, b.shape[1])
+    return _finish((rows @ b.data).reshape(*a.shape[:-1], b.shape[1]), (a, b), bfn)
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:

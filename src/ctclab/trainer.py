@@ -4,6 +4,12 @@ The optimizer is Adam under an inverse-square-root schedule with linear
 warmup (1000 steps) and a peak scaled by d_model**-0.5.  Training runs in
 float32; checkpoints store float32 payloads bit-exactly.  All randomness
 derives from the config seeds, so equal seeds give byte-identical runs.
+
+Training forwards one utterance per tape, with its own stochastic-depth
+draws and CTC losses, and accumulates 1/batch of each gradient.
+Evaluation has no tape and no draws: it groups utterances by length and
+forwards each group in (B, T, F) stacks of at most EVAL_STACK, so no
+utterance is padded, then greedy-decodes each row.
 """
 from __future__ import annotations
 
@@ -32,6 +38,11 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-9
 WARMUP_STEPS = 1000
 PEAK_LR_FACTOR = 3.0
+# Most equal-length utterances one eval forward takes.  On a 2-vCPU host,
+# caps of 12 to 32 decoded a 1950-utterance split of 26 lengths equally fast
+# within noise, 16 with the best median, while the live memory of a
+# default-config forward grows with the cap: about 2 MB at 16, 3.7 MB at 32.
+EVAL_STACK = 16
 
 
 class TrainingDiverged(RuntimeError):
@@ -66,11 +77,10 @@ class Model:
 
     def trace(self, features: np.ndarray, mode: str = "eval",
               rng: np.random.Generator | None = None) -> LayerTrace:
+        """Forward (T, F) features, or in eval mode a (B, T, F) stack of
+        equal-length utterances."""
         x0 = Tensor(np.asarray(features, dtype=self.encoder.dtype))
         return self.encoder.forward(x0, mode=mode, rng=rng)
-
-    def decode(self, features: np.ndarray) -> tuple[int, ...]:
-        return eval_decode(self.trace(features), self.heads)
 
 
 # --- optimizer ---------------------------------------------------------------
@@ -331,9 +341,21 @@ class EvalResult:
 
 
 def evaluate_model(model: Model, dataset: list[Utterance]) -> EvalResult:
+    """Greedy-decode every utterance, forwarding equal-length utterances
+    together in stacks of at most EVAL_STACK, and score the decodes; they
+    come back in dataset order."""
     if not dataset:
         raise ValueError("cannot evaluate on an empty dataset")
-    decodes = [model.decode(utt.features) for utt in dataset]
+    by_length: dict[int, list[int]] = {}
+    for index, utt in enumerate(dataset):
+        by_length.setdefault(utt.features.shape[0], []).append(index)
+    decodes: list[tuple[int, ...]] = [()] * len(dataset)
+    for indices in by_length.values():
+        for start in range(0, len(indices), EVAL_STACK):
+            stack = indices[start:start + EVAL_STACK]
+            trace = model.trace(np.stack([dataset[i].features for i in stack]))
+            for index, hyp in zip(stack, eval_decode(trace, model.heads)):
+                decodes[index] = hyp
     rate = corpus_rate([(utt.labels, hyp) for utt, hyp in zip(dataset, decodes)])
     return EvalResult(rate, decodes)
 

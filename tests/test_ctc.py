@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from ctclab.ctc import (
     BLANK,
@@ -121,6 +122,20 @@ class TestCtcLoss:
 
     def test_oracle_equivalence_randomized(self):
         assert oracle_trials(trials=200, seed=0) < 1e-10
+
+    @given(st.data())
+    def test_forward_backward_matches_bruteforce(self, data):
+        steps = data.draw(st.integers(1, 5), label="T")
+        vocab = data.draw(st.integers(1, 3), label="V")
+        labels = tuple(data.draw(st.lists(st.integers(1, vocab), max_size=3),
+                                 label="labels"))
+        assume(steps >= required_length(labels))
+        logits = np.array(data.draw(st.lists(
+            st.floats(-6.0, 6.0), min_size=steps * (vocab + 1),
+            max_size=steps * (vocab + 1)), label="logits")).reshape(steps, vocab + 1)
+        grid = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+        loss, _ = ctc_forward_backward(grid, labels)
+        assert loss == pytest.approx(ctc_loss_bruteforce(grid, labels), rel=1e-9, abs=1e-9)
 
     def test_occupancy_consistency(self):
         # the grid gradient sums to -expected alignment length... per-frame

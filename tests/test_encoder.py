@@ -377,14 +377,14 @@ class TestConvModule:
 
 class TestFusedGradients:
     """The fused blocks, pre-norm included, against central differences, at
-    the primitive tolerance."""
+    the primitive tolerance, on one utterance and on a stack of two."""
 
-    @pytest.mark.parametrize("block", ["attention", "relu", "swish", "conv"])
-    def test_gradcheck(self, block):
-        rng = np.random.default_rng(18)
-        layer = Encoder.build(tiny_config("conformer")).layers[0]
-        x = Tensor(rng.uniform(-2, 2, size=(4, 8)), requires_grad=True)
-        w = Tensor(rng.uniform(-1, 1, size=(4, 8)))
+    @staticmethod
+    def worst_error(block, shape, seed):
+        rng = np.random.default_rng(seed)
+        layer = Encoder.build(tiny_config("conformer", d_model=shape[-1])).layers[0]
+        x = Tensor(rng.uniform(-2, 2, size=shape), requires_grad=True)
+        w = Tensor(rng.uniform(-1, 1, size=shape))
         if block == "attention":
             norm, p = layer.att_norm, layer.attention
 
@@ -404,8 +404,54 @@ class TestFusedGradients:
         randomize(p, rng)
         params = {"x": x, **dict(_named_tensors(norm, "pre_norm")),
                   **dict(_named_tensors(p, "block"))}
-        report = gradcheck(lambda: sum_all(mul(fn(), w)), params)
+        return gradcheck(lambda: sum_all(mul(fn(), w)), params).max_rel_error
+
+    @pytest.mark.parametrize("block", ["attention", "relu", "swish", "conv"])
+    def test_gradcheck(self, block):
+        assert self.worst_error(block, (4, 8), 18) < 1e-6
+
+    @pytest.mark.parametrize("block", ["attention", "relu", "swish", "conv"])
+    def test_gradcheck_stacked(self, block):
+        assert self.worst_error(block, (2, 3, 4), 19) < 1e-6
+
+
+class TestStacked:
+    """Eval forwards of a (B, T, F) stack of equal-length utterances: each
+    row is that utterance forwarded alone."""
+
+    @pytest.mark.parametrize("kind", ["transformer", "conformer"])
+    def test_rows_match_single_forwards(self, kind):
+        rng = np.random.default_rng(20)
+        enc = Encoder.build(tiny_config(kind, num_layers=3))
+        head = CTCHead.build(8, 3, rng)
+        for t in [*enc.parameters().values(), *head.parameters().values()]:
+            t.data[...] = rng.uniform(-1, 1, size=t.shape)
+        feats = rng.normal(size=(3, 6, 5))
+        stacked = enc.forward(Tensor(feats), mode="eval")
+        log_post = head(stacked.final).data
+        assert stacked.final.shape == (3, 6, 8) and log_post.shape == (3, 6, 4)
+        for b, features in enumerate(feats):
+            alone = enc.forward(Tensor(features), mode="eval")
+            for s, a in zip(stacked.states, alone.states):
+                np.testing.assert_allclose(s.data[b], a.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(log_post[b], head(alone.final).data,
+                                       rtol=0, atol=1e-12)
+
+    def test_frontend_gradcheck(self):
+        rng = np.random.default_rng(21)
+        enc = Encoder.build(tiny_config(input_dim=4))
+        x = Tensor(rng.uniform(-1, 1, size=(2, 3, 4)), requires_grad=True)
+        w = Tensor(rng.uniform(-1, 1, size=(2, 3, 8)))
+        report = gradcheck(lambda: sum_all(mul(enc.input_frontend(x), w)),
+                           {"x": x, "frontend.w": enc.frontend_w,
+                            "frontend.b": enc.frontend_b})
         assert report.max_rel_error < 1e-6
+
+    def test_train_mode_rejects_a_stack(self):
+        enc = Encoder.build(tiny_config())
+        with pytest.raises(ValueError):
+            enc.forward(Tensor(np.ones((2, 3, 5))), mode="train",
+                        rng=np.random.default_rng(0))
 
 
 class TestForward:

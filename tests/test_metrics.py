@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ctclab.metrics import ErrorCounts, corpus_rate, edit_distance
 
@@ -91,6 +92,14 @@ class TestCorpusRate:
             ([4, 5, 6], [4, 7, 6, 8]),   # 1 sub + 1 ins, ref len 3
         ]
         assert corpus_rate(pairs) == pytest.approx(3 / 8)
+
+    @given(st.lists(st.tuples(st.lists(st.integers(1, 4), max_size=7),
+                              st.lists(st.integers(1, 4), max_size=7)),
+                    min_size=1, max_size=6))
+    def test_total_distance_over_total_length(self, pairs):
+        distance = sum(edit_distance(ref, hyp).distance for ref, hyp in pairs)
+        length = sum(len(ref) for ref, _ in pairs)
+        assert corpus_rate(pairs) == distance / max(1, length)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):

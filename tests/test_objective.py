@@ -223,14 +223,14 @@ class TestEvalDecode:
         enc, heads = make_model()
         x = Tensor(np.random.default_rng(4).normal(size=(5, 5)))
         trace = enc.forward(x, mode="eval")
-        assert eval_decode(trace, heads) == greedy_decode(heads.final(trace.final).data)
+        assert eval_decode(trace, heads) == [greedy_decode(heads.final(trace.final).data)]
 
     def test_golden_decode_frozen_model(self):
         # pinned once from a seeded build of this implementation
         enc, heads = make_model(num_layers=2, seed=2024, vocab=4)
         x = Tensor(np.random.default_rng(77).normal(size=(12, 5)) * 2.0)
         got = eval_decode(enc.forward(x, mode="eval"), heads)
-        assert got == GOLDEN_DECODE
+        assert got == [GOLDEN_DECODE]
 
 
 GOLDEN_DECODE = (4, 2, 4, 1, 2, 3, 4, 2, 4, 1)  # pinned from the seeded build

@@ -206,6 +206,29 @@ class TestGradcheck:
             {"x": x, "gain": gain, "bias": bias})
         assert report.max_rel_error < 1e-6
 
+    def test_matmul_stacked_rows(self):
+        rng = np.random.default_rng(15)
+        a, b = rand_param(rng, 2, 3, 4), rand_param(rng, 4, 5)
+        out = matmul(a, b)
+        for row, alone in zip(out.data, a.data):
+            np.testing.assert_allclose(row, alone @ b.data, rtol=0, atol=1e-12)
+        w = Tensor(rng.uniform(-1, 1, size=(2, 3, 5)))
+        report = gradcheck(lambda: sum_all(mul(matmul(a, b), w)), {"a": a, "b": b})
+        assert report.max_rel_error < 1e-6
+
+    def test_add_table_over_stack(self):
+        # a (T, D) table, as the positional term, broadcast over a (B, T, D) stack
+        rng = np.random.default_rng(16)
+        x, table = rand_param(rng, 2, 3, 4), rand_param(rng, 3, 4)
+        np.testing.assert_array_equal(add(x, table).data, x.data + table.data[None])
+        w = Tensor(rng.uniform(-1, 1, size=(2, 3, 4)))
+        report = gradcheck(lambda: sum_all(mul(add(x, table), w)),
+                           {"x": x, "table": table})
+        assert report.max_rel_error < 1e-6
+        for bad in ((2, 4), (3,), (1, 3, 4)):
+            with pytest.raises(ValueError):
+                add(x, Tensor(np.ones(bad)))
+
     def test_add_bias_broadcast(self):
         rng = np.random.default_rng(9)
         x, b = rand_param(rng, 4, 6), rand_param(rng, 6)

@@ -7,7 +7,7 @@ import ctclab.trainer
 from ctclab.config import RunConfig
 from ctclab.ctc import ctc_loss
 from ctclab.data import Utterance, generate_dataset
-from ctclab.objective import plan_step
+from ctclab.objective import eval_decode, plan_step
 from ctclab.tensor import Tape
 from ctclab.trainer import (
     Checkpoint,
@@ -311,6 +311,19 @@ class TestEvaluate:
         a = evaluate_model(model, dev)
         b = evaluate_model(model, dev)
         assert a.rate == b.rate and a.decodes == b.decodes
+
+    @pytest.mark.parametrize("stack", [1, 2, ctclab.trainer.EVAL_STACK])
+    def test_mixed_lengths_decode_in_dataset_order(self, monkeypatch, stack):
+        monkeypatch.setattr(ctclab.trainer, "EVAL_STACK", stack)
+        cfg = tiny_cfg("task.dev_size=24\n")
+        model = Model.from_run_config(cfg, dtype=np.float64)
+        dev = generate_dataset(cfg.task, "dev")
+        lengths = [utt.features.shape[0] for utt in dev]
+        assert 1 < len(set(lengths)) < len(lengths)  # mixed, and some stack
+        result = evaluate_model(model, dev)
+        alone = [eval_decode(model.trace(utt.features), model.heads)[0] for utt in dev]
+        assert result.decodes == alone and len(set(alone)) > 1
+        assert evaluate_model(model, dev[::-1]).decodes == result.decodes[::-1]
 
     def test_load_state_rejects_name_mismatch(self):
         model = Model.from_run_config(tiny_cfg())
