@@ -266,7 +266,7 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
-    except (ConfigError, FileNotFoundError, ValueError) as err:
+    except (ConfigError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except TrainingDiverged as err:

@@ -1,9 +1,19 @@
 """Plain key=value run configuration: parsing, validation, and the canonical
 echo that gets embedded into checkpoints so a run can be reproduced from its
-artifacts."""
+artifacts.
+
+Every key is one row of `_TABLE`: (key, attribute, caster, default).  The
+attribute is a `RunConfig` field, or `task.<field>` for a field of the
+run's `SyntheticTaskConfig`.  `RunConfig.parse` casts each line with its
+row's caster and fills unset keys from the defaults; `RunConfig.to_text`
+walks the table in order, so the echo lists the keys as the table does and
+leaves out a value of None.  A default of None is resolved by `parse`: the
+task seed falls back to the run's seed, and the loss position stays unset.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 from .data import SyntheticTaskConfig
@@ -29,36 +39,36 @@ def _fmt(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-# key -> (caster, default); a default of None means "derived at resolve time"
-_KEYS: dict[str, tuple] = {
-    "model.kind": (str, "transformer"),
-    "model.layers": (int, 4),
-    "model.d_model": (int, 64),
-    "model.heads": (int, 4),
-    "model.d_ff": (int, 128),
-    "model.conv_kernel": (int, 7),
-    "model.p_last": (float, 0.7),
-    "model.separate_heads": (_parse_bool, False),
-    "loss.variant": (str, "middle"),
-    "loss.w": (float, 0.3),
-    "loss.k": (int, 1),
-    "loss.position": (int, None),
-    "task.vocab": (int, 5),
-    "task.dim": (int, 16),
-    "task.min_label": (int, 2),
-    "task.max_label": (int, 8),
-    "task.min_duration": (int, 2),
-    "task.max_duration": (int, 4),
-    "task.sigma": (float, 0.25),
-    "task.train_size": (int, 2048),
-    "task.dev_size": (int, 256),
-    "task.test_size": (int, 256),
-    "task.seed": (int, None),  # defaults to train.seed
-    "train.epochs": (int, 20),
-    "train.batch": (int, 16),
-    "train.seed": (int, 1),
-    "train.average_last": (int, 5),
-}
+_TABLE = (
+    ("model.kind", "kind", str, "transformer"),
+    ("model.layers", "layers", int, 4),
+    ("model.d_model", "d_model", int, 64),
+    ("model.heads", "heads", int, 4),
+    ("model.d_ff", "d_ff", int, 128),
+    ("model.conv_kernel", "conv_kernel", int, 7),
+    ("model.p_last", "p_last", float, 0.7),
+    ("model.separate_heads", "separate_heads", _parse_bool, False),
+    ("loss.variant", "loss_variant", str, "middle"),
+    ("loss.w", "loss_weight", float, 0.3),
+    ("loss.k", "loss_count", int, 1),
+    ("loss.position", "loss_position", int, None),
+    ("task.vocab", "task.vocab", int, 5),
+    ("task.dim", "task.input_dim", int, 16),
+    ("task.min_label", "task.min_label_length", int, 2),
+    ("task.max_label", "task.max_label_length", int, 8),
+    ("task.min_duration", "task.min_duration", int, 2),
+    ("task.max_duration", "task.max_duration", int, 4),
+    ("task.sigma", "task.noise_sigma", float, 0.25),
+    ("task.train_size", "task.train_size", int, 2048),
+    ("task.dev_size", "task.dev_size", int, 256),
+    ("task.test_size", "task.test_size", int, 256),
+    ("task.seed", "task.seed", int, None),
+    ("train.epochs", "epochs", int, 20),
+    ("train.batch", "batch_size", int, 16),
+    ("train.seed", "seed", int, 1),
+    ("train.average_last", "average_last", int, 5),
+)
+_CASTERS = {key: caster for key, _, caster, _ in _TABLE}
 
 
 @dataclass(frozen=True)
@@ -92,55 +102,27 @@ class RunConfig:
                 raise ConfigError(f"line {line_no}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in _KEYS:
+            if key not in _CASTERS:
                 raise ConfigError(f"line {line_no}: unknown key {key!r}")
-            caster = _KEYS[key][0]
             try:
-                values[key] = caster(value)
+                values[key] = _CASTERS[key](value)
             except ValueError as err:
                 raise ConfigError(f"line {line_no}: bad value for {key}: {err}") from None
 
-        def get(key):
-            return values.get(key, _KEYS[key][1])
-
-        task = SyntheticTaskConfig(
-            vocab=get("task.vocab"),
-            input_dim=get("task.dim"),
-            min_label_length=get("task.min_label"),
-            max_label_length=get("task.max_label"),
-            min_duration=get("task.min_duration"),
-            max_duration=get("task.max_duration"),
-            noise_sigma=get("task.sigma"),
-            train_size=get("task.train_size"),
-            dev_size=get("task.dev_size"),
-            test_size=get("task.test_size"),
-            seed=values.get("task.seed", get("train.seed")),
-        )
+        fields, task = {}, {}
+        for key, attr, _, default in _TABLE:
+            value = values.get(key, default)
+            if attr.startswith("task."):
+                task[attr.removeprefix("task.")] = value
+            else:
+                fields[attr] = value
+        if task["seed"] is None:
+            task["seed"] = fields["seed"]
         try:
-            cfg = cls(
-                kind=get("model.kind"),
-                layers=get("model.layers"),
-                d_model=get("model.d_model"),
-                heads=get("model.heads"),
-                d_ff=get("model.d_ff"),
-                conv_kernel=get("model.conv_kernel"),
-                p_last=get("model.p_last"),
-                separate_heads=get("model.separate_heads"),
-                loss_variant=get("loss.variant"),
-                loss_weight=get("loss.w"),
-                loss_count=get("loss.k"),
-                loss_position=get("loss.position"),
-                task=task,
-                epochs=get("train.epochs"),
-                batch_size=get("train.batch"),
-                seed=get("train.seed"),
-                average_last=get("train.average_last"),
-            )
+            cfg = cls(task=SyntheticTaskConfig(**task), **fields)
             cfg.encoder_config()  # validate model fields eagerly
             cfg.loss_spec()
         except ValueError as err:
-            if isinstance(err, ConfigError):
-                raise
             raise ConfigError(str(err)) from None
         if cfg.epochs < 0 or cfg.batch_size < 1 or cfg.average_last < 1:
             raise ConfigError("train.* values out of range")
@@ -177,36 +159,9 @@ class RunConfig:
 
     def to_text(self) -> str:
         """Canonical echo; parsing it back reproduces this config exactly."""
-        t = self.task
-        resolved = {
-            "model.kind": self.kind,
-            "model.layers": self.layers,
-            "model.d_model": self.d_model,
-            "model.heads": self.heads,
-            "model.d_ff": self.d_ff,
-            "model.conv_kernel": self.conv_kernel,
-            "model.p_last": self.p_last,
-            "model.separate_heads": self.separate_heads,
-            "loss.variant": self.loss_variant,
-            "loss.w": self.loss_weight,
-            "loss.k": self.loss_count,
-            "loss.position": self.loss_position,
-            "task.vocab": t.vocab,
-            "task.dim": t.input_dim,
-            "task.min_label": t.min_label_length,
-            "task.max_label": t.max_label_length,
-            "task.min_duration": t.min_duration,
-            "task.max_duration": t.max_duration,
-            "task.sigma": t.noise_sigma,
-            "task.train_size": t.train_size,
-            "task.dev_size": t.dev_size,
-            "task.test_size": t.test_size,
-            "task.seed": t.seed,
-            "train.epochs": self.epochs,
-            "train.batch": self.batch_size,
-            "train.seed": self.seed,
-            "train.average_last": self.average_last,
-        }
-        lines = [f"{key}={_fmt(value)}" for key, value in resolved.items()
-                 if value is not None]
+        lines = []
+        for key, attr, _, _ in _TABLE:
+            value = attrgetter(attr)(self)
+            if value is not None:
+                lines.append(f"{key}={_fmt(value)}")
         return "\n".join(lines) + "\n"

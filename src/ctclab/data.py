@@ -4,6 +4,7 @@ and Gaussian noise is added on top.  Stands in for a real corpus at desk
 scale."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -37,8 +38,14 @@ class SyntheticTaskConfig:
             raise ValueError("bad label length range")
         if self.min_duration > self.max_duration:
             raise ValueError("bad duration range")
-        if self.noise_sigma < 0:
-            raise ValueError("noise sigma must be non-negative")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError(
+                f"noise sigma must be finite and non-negative, got {self.noise_sigma}")
+        # one token id means every label repeats it, and CTC needs a blank
+        # between repeats: n tokens need 2n - 1 frames, and 1-frame tokens give n
+        if self.vocab == 1 and self.max_duration == 1 and self.min_label_length >= 2:
+            raise ValueError("vocab 1 with max_duration 1 fits no label of 2 or more "
+                             "tokens, so no utterance can be drawn")
 
     def size_of(self, split: str) -> int:
         return {"train": self.train_size, "dev": self.dev_size,

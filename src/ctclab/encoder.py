@@ -62,11 +62,15 @@ class EncoderConfig:
             raise ValueError(f"unknown layer kind {self.kind!r}")
         if self.num_layers < 1:
             raise ValueError("need at least one layer")
+        for name in ("d_model", "n_heads", "d_ff", "input_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.d_model % self.n_heads:
             raise ValueError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
-        if self.kind == "conformer" and self.conv_kernel % 2 == 0:
-            raise ValueError(f"conv_kernel must be odd, got {self.conv_kernel}")
+        if self.kind == "conformer" and (self.conv_kernel < 1 or self.conv_kernel % 2 == 0):
+            raise ValueError(
+                f"conv_kernel must be odd and positive, got {self.conv_kernel}")
         if not 0.0 < self.survival_floor <= 1.0:
             raise ValueError(f"survival floor must be in (0, 1], got {self.survival_floor}")
 

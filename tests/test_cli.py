@@ -73,9 +73,36 @@ class TestTrain:
         assert code == 1
         assert "model.depth" in capsys.readouterr().err
 
+    def test_config_with_no_drawable_utterance_rejected(self, tmp_path, capsys):
+        # one token id and one frame per token: generation would never end
+        config = tmp_path / "bad.cfg"
+        config.write_text("task.vocab=1\ntask.min_duration=1\ntask.max_duration=1\n")
+        code = main(["train", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_missing_required_argument(self, capsys):
         assert main(["train", "--out", "somewhere"]) == 1
         assert "usage error" in capsys.readouterr().err
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--checkpoint", "{dir}"],
+        ["decode", "--logits", "{dir}"],
+        ["average", "--inputs", "{dir}", "--out", "{dir}/avg.ckpt"],
+        ["train", "--config", "{dir}", "--out", "{dir}/out"],
+        ["train", "--config", "{file}", "--out", "{file}"],
+    ], ids=["eval_checkpoint_dir", "decode_logits_dir", "average_inputs_dir",
+            "train_config_dir", "train_out_is_file"])
+    def test_exit_one_with_one_line(self, tmp_path, argv, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text(TINY_CONFIG)
+        argv = [arg.format(dir=tmp_path, file=config) for arg in argv]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestEval:

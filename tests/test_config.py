@@ -1,6 +1,71 @@
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from ctclab.config import ConfigError, RunConfig
+from ctclab.objective import VARIANTS
+
+# the echo of the default config and of one non-default config, taken from
+# the code before the key table; checkpoints embed these bytes
+DEFAULT_ECHO = (
+    "model.kind=transformer\n"
+    "model.layers=4\n"
+    "model.d_model=64\n"
+    "model.heads=4\n"
+    "model.d_ff=128\n"
+    "model.conv_kernel=7\n"
+    "model.p_last=0.7\n"
+    "model.separate_heads=false\n"
+    "loss.variant=middle\n"
+    "loss.w=0.3\n"
+    "loss.k=1\n"
+    "task.vocab=5\n"
+    "task.dim=16\n"
+    "task.min_label=2\n"
+    "task.max_label=8\n"
+    "task.min_duration=2\n"
+    "task.max_duration=4\n"
+    "task.sigma=0.25\n"
+    "task.train_size=2048\n"
+    "task.dev_size=256\n"
+    "task.test_size=256\n"
+    "task.seed=1\n"
+    "train.epochs=20\n"
+    "train.batch=16\n"
+    "train.seed=1\n"
+    "train.average_last=5\n"
+)
+CONFORMER_LOWER_TEXT = (
+    "model.kind=conformer\nloss.variant=lower\nloss.position=2\ntask.sigma=0.5\n")
+CONFORMER_LOWER_ECHO = (
+    "model.kind=conformer\n"
+    "model.layers=4\n"
+    "model.d_model=64\n"
+    "model.heads=4\n"
+    "model.d_ff=128\n"
+    "model.conv_kernel=7\n"
+    "model.p_last=0.7\n"
+    "model.separate_heads=false\n"
+    "loss.variant=lower\n"
+    "loss.w=0.3\n"
+    "loss.k=1\n"
+    "loss.position=2\n"
+    "task.vocab=5\n"
+    "task.dim=16\n"
+    "task.min_label=2\n"
+    "task.max_label=8\n"
+    "task.min_duration=2\n"
+    "task.max_duration=4\n"
+    "task.sigma=0.5\n"
+    "task.train_size=2048\n"
+    "task.dev_size=256\n"
+    "task.test_size=256\n"
+    "task.seed=1\n"
+    "train.epochs=20\n"
+    "train.batch=16\n"
+    "train.seed=1\n"
+    "train.average_last=5\n"
+)
 
 
 class TestParsing:
@@ -53,6 +118,25 @@ class TestParsing:
         with pytest.raises(ConfigError):
             RunConfig.parse("loss.w=1.5")
 
+    @pytest.mark.parametrize("text, named", [
+        ("model.heads=0", "n_heads"),
+        ("model.heads=-1", "n_heads"),
+        ("model.d_model=0", "d_model"),
+        ("model.d_ff=0", "d_ff"),
+        ("task.dim=0", "input_dim"),
+        ("model.kind=conformer\nmodel.conv_kernel=-1", "conv_kernel"),
+        ("task.sigma=nan", "sigma"),
+        ("task.sigma=inf", "sigma"),
+        ("task.sigma=-inf", "sigma"),
+        ("task.vocab=1\ntask.min_duration=1\ntask.max_duration=1", "vocab 1"),
+    ])
+    def test_values_that_crash_hang_or_mislead_are_rejected(self, text, named):
+        with pytest.raises(ConfigError, match=named):
+            RunConfig.parse(text)
+
+    def test_later_value_of_a_repeated_key_wins(self):
+        assert RunConfig.parse("train.seed=5\ntrain.seed=8").seed == 8
+
     def test_separate_heads_boolean(self):
         assert RunConfig.parse("model.separate_heads=true").separate_heads
         assert not RunConfig.parse("model.separate_heads=false").separate_heads
@@ -86,3 +170,73 @@ class TestEcho:
         spec = cfg.loss_spec()
         assert spec.variant == "middle"
         assert spec.weight == 0.3
+
+    def test_default_echo_pinned(self):
+        assert RunConfig.default().to_text() == DEFAULT_ECHO
+
+    def test_conformer_lower_echo_pinned(self):
+        assert RunConfig.parse(CONFORMER_LOWER_TEXT).to_text() == CONFORMER_LOWER_ECHO
+
+
+@st.composite
+def config_texts(draw):
+    """key=value text of a valid config: each key set or left at its
+    default, in a drawn order."""
+    heads = draw(st.integers(1, 8))
+    layers = draw(st.integers(2, 12))
+    vocab = draw(st.integers(1, 12))
+    min_label = draw(st.integers(1, 6))
+    min_duration = draw(st.integers(1, 3))
+    max_duration = draw(st.integers(min_duration, 6))
+    assume(not (vocab == 1 and max_duration == 1 and min_label >= 2))
+    unit = st.floats(0.0, 1.0)
+    values = {
+        "model.kind": draw(st.sampled_from(["transformer", "conformer"])),
+        "model.layers": layers,
+        "model.d_model": heads * draw(st.integers(1, 16)),
+        "model.heads": heads,
+        "model.d_ff": draw(st.integers(1, 256)),
+        "model.conv_kernel": 2 * draw(st.integers(0, 7)) + 1,
+        "model.p_last": draw(st.floats(0.0, 1.0, exclude_min=True)),
+        "model.separate_heads": draw(st.sampled_from(
+            ["true", "false", "1", "0", "yes", "no"])),
+        "loss.variant": draw(st.sampled_from(VARIANTS)),
+        "loss.w": draw(unit),
+        "loss.k": draw(st.integers(1, 4)),
+        "loss.position": draw(st.integers(1, layers - 1)),
+        "task.vocab": vocab,
+        "task.dim": draw(st.integers(1, 64)),
+        "task.min_label": min_label,
+        "task.max_label": draw(st.integers(min_label, 20)),
+        "task.min_duration": min_duration,
+        "task.max_duration": max_duration,
+        "task.sigma": draw(st.floats(0.0, 1e6)),
+        "task.train_size": draw(st.integers(0, 10_000)),
+        "task.dev_size": draw(st.integers(0, 1000)),
+        "task.test_size": draw(st.integers(0, 1000)),
+        "task.seed": draw(st.integers(0, 2**63 - 1)),
+        "train.epochs": draw(st.integers(0, 100)),
+        "train.batch": draw(st.integers(1, 128)),
+        "train.seed": draw(st.integers(0, 2**63 - 1)),
+        "train.average_last": draw(st.integers(1, 20)),
+    }
+    # keys whose valid values depend on one another are set or left together
+    groups = [["model.heads", "model.d_model"],
+              ["task.vocab", "task.min_label", "task.max_label",
+               "task.min_duration", "task.max_duration"]]
+    grouped = {key for group in groups for key in group}
+    groups += [[key] for key in values if key not in grouped]
+    kept = [(key, values[key]) for group in groups if draw(st.booleans())
+            for key in group]
+    lines = draw(st.permutations(kept))
+    return "".join(f"{key}={value!r}\n" if isinstance(value, float)
+                   else f"{key}={value}\n" for key, value in lines)
+
+
+class TestEchoProperties:
+    @given(config_texts())
+    def test_echo_round_trips(self, text):
+        cfg = RunConfig.parse(text)
+        echo = cfg.to_text()
+        assert RunConfig.parse(echo) == cfg
+        assert RunConfig.parse(echo).to_text() == echo

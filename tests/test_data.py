@@ -25,6 +25,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             small_cfg(noise_sigma=-0.1)
 
+    @pytest.mark.parametrize("kw", [dict(min_label_length=1, max_duration=1),
+                                    dict(max_duration=2, max_label_length=3)],
+                             ids=["one_token_labels", "two_frame_tokens"])
+    def test_single_token_configs_with_a_feasible_draw_generate(self, kw):
+        cfg = small_cfg(vocab=1, min_duration=1, **kw)
+        for utt in generate_dataset(cfg, "dev"):
+            assert utt.features.shape[0] >= required_length(utt.labels)
+
 
 class TestGeneration:
     def test_zero_noise_frames_equal_prototypes(self):
