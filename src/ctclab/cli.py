@@ -29,21 +29,13 @@ from .encoder import (
     EncoderConfig,
     FeedForward,
     Norm,
+    Padding,
     _conv_module,
     _feed_forward,
     _named_tensors,
     self_attention,
 )
-from .tensor import (
-    Tensor,
-    add,
-    gradcheck,
-    layer_norm,
-    log_softmax,
-    matmul,
-    mul,
-    sum_all,
-)
+from .tensor import Tensor, add, gradcheck, mul, sum_all, take_frames
 from .trainer import (
     TrainingDiverged,
     average_checkpoints,
@@ -70,58 +62,62 @@ class _Parser(argparse.ArgumentParser):
 # --- gradcheck battery --------------------------------------------------------
 
 def _primitive_checks(rng):
-    x34 = Tensor(rng.uniform(-2, 2, size=(3, 4)), requires_grad=True)
-    w34 = Tensor(rng.uniform(-1, 1, size=(3, 4)))
-
-    def weighted(fn, x, w):
-        return lambda: sum_all(mul(fn(x), w))
-
-    a = Tensor(rng.uniform(-2, 2, size=(4, 5)), requires_grad=True)
-    b = Tensor(rng.uniform(-2, 2, size=(5, 3)), requires_grad=True)
-    nx = Tensor(rng.uniform(-2, 2, size=(3, 6)), requires_grad=True)
-    ngain = Tensor(rng.uniform(0.5, 1.5, size=6), requires_grad=True)
-    nbias = Tensor(rng.uniform(-1, 1, size=6), requires_grad=True)
-    nw = Tensor(rng.uniform(-1, 1, size=(3, 6)))
-    bias = Tensor(rng.uniform(-1, 1, size=4), requires_grad=True)
-    grid_logits = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-
+    """Each primitive and fused entry against central differences.  The
+    residual blocks run on a padded (2, 3, 4) stack whose second row is 2
+    frames long, each row with its own branch scale, as in training."""
     def param(*shape):
         return Tensor(rng.uniform(-1, 1, size=shape), requires_grad=True)
+
+    def weighted(fn, x):
+        w = Tensor(rng.uniform(-1, 1, size=fn(x).shape))
+        return lambda: sum_all(mul(fn(x), w))
 
     def norm():
         return Norm(Tensor(rng.uniform(0.5, 1.5, size=4), requires_grad=True),
                     param(4))
-    block_x = Tensor(rng.uniform(-2, 2, size=(3, 4)), requires_grad=True)
 
-    def block_params(pre_norm, block):
-        return {"x": block_x, **dict(_named_tensors(pre_norm, "pre_norm")),
-                **dict(_named_tensors(block, "block"))}
+    def block_params(*containers):
+        named = {"x": block_x}
+        for index, container in enumerate(containers):
+            named.update(_named_tensors(container, f"p{index}"))
+        return named
+
+    x34, bias = param(3, 4), param(4)
+    block_x = Tensor(rng.uniform(-2, 2, size=(2, 3, 4)), requires_grad=True)
+    branch_scale = np.array([1.25, 0.5]).reshape(2, 1, 1)
+    padding = Padding.of(np.array([3, 2]), 3, np.float64)
     att_norm, att = norm(), Attention(param(4, 4), param(4), param(4, 4), param(4),
                                       param(4, 4), param(4), param(4, 4), param(4))
-    ffn_norm, ffn = norm(), FeedForward(param(4, 5), param(5), param(5, 4), param(4))
+    ffn_norm, ffn, out_norm = norm(), FeedForward(param(4, 5), param(5), param(5, 4),
+                                                  param(4)), norm()
     conv_norm, conv = norm(), ConvModule(param(4, 8), param(8), param(3, 4), param(4),
                                          norm(), param(4, 4), param(4))
+    frontend = Encoder.build(EncoderConfig(num_layers=1, d_model=4, n_heads=2,
+                                           input_dim=5, seed=int(rng.integers(2**31))))
+    features = Tensor(rng.uniform(-1, 1, size=(2, 3, 5)), requires_grad=True)
+    head = CTCHead.build(4, 2, rng)
+    head.bias.data[...] = rng.uniform(-1, 1, size=3)
 
-    checks = [
-        ("matmul", {"a": a, "b": b}, lambda: sum_all(matmul(a, b))),
-        ("log_softmax", {"x": x34}, weighted(log_softmax, x34, w34)),
-        ("layer_norm", {"x": nx, "gain": ngain, "bias": nbias},
-         lambda: sum_all(mul(layer_norm(nx, ngain, nbias), nw))),
-        ("bias_add", {"x": x34, "bias": bias},
-         weighted(lambda x: add(x, bias), x34, w34)),
+    return [
+        ("bias_add", {"x": x34, "bias": bias}, weighted(lambda x: add(x, bias), x34)),
+        ("frontend", {"x": features, "weight": frontend.frontend_w,
+                      "bias": frontend.frontend_b},
+         weighted(frontend.input_frontend, features)),
         ("attention", block_params(att_norm, att),
-         weighted(lambda x: self_attention(x, att_norm, att, n_heads=2),
-                  block_x, w34)),
+         weighted(lambda x: self_attention(x, att_norm, att, 2, branch_scale, padding),
+                  block_x)),
         ("feed_forward_relu", block_params(ffn_norm, ffn),
-         weighted(lambda x: _feed_forward(x, ffn_norm, ffn, "relu"), block_x, w34)),
-        ("feed_forward_swish", block_params(ffn_norm, ffn),
-         weighted(lambda x: _feed_forward(x, ffn_norm, ffn, "swish"), block_x, w34)),
+         weighted(lambda x: _feed_forward(x, ffn_norm, ffn, "relu", branch_scale),
+                  block_x)),
+        ("feed_forward_swish_out_norm", block_params(ffn_norm, ffn, out_norm),
+         weighted(lambda x: _feed_forward(x, ffn_norm, ffn, "swish", branch_scale,
+                                          out_norm), block_x)),
         ("conv_module", block_params(conv_norm, conv),
-         weighted(lambda x: _conv_module(x, conv_norm, conv), block_x, w34)),
-        ("ctc_grid", {"logits": grid_logits},
-         lambda: ctc_loss(log_softmax(grid_logits), (1, 2))),
+         weighted(lambda x: _conv_module(x, conv_norm, conv, branch_scale, padding),
+                  block_x)),
+        ("head_ctc", {"x": block_x, "weight": head.weight, "bias": head.bias},
+         lambda: ctc_loss(take_frames(head(block_x), 1, 2), (1, 2))),
     ]
-    return checks
 
 
 def _composite_check(kind, num_layers, d_model, steps, rng):

@@ -16,9 +16,11 @@ from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
 
+import numpy as np
+
 from .data import SyntheticTaskConfig
 from .encoder import EncoderConfig
-from .objective import IntermediateLossSpec
+from .objective import IntermediateLossSpec, resolve_positions
 
 
 class ConfigError(ValueError):
@@ -121,11 +123,18 @@ class RunConfig:
         try:
             cfg = cls(task=SyntheticTaskConfig(**task), **fields)
             cfg.encoder_config()  # validate model fields eagerly
-            cfg.loss_spec()
+            # every intermediate position the loss can pick must be a layer
+            # below the last; the random variant's lies in [L/2, L-1], so any
+            # one draw of it shows whether that range exists
+            resolve_positions(cfg.loss_spec(), cfg.layers, np.random.default_rng(0))
         except ValueError as err:
             raise ConfigError(str(err)) from None
         if cfg.epochs < 0 or cfg.batch_size < 1 or cfg.average_last < 1:
             raise ConfigError("train.* values out of range")
+        for key, size in (("task.train_size", cfg.task.train_size),
+                          ("task.dev_size", cfg.task.dev_size)):
+            if size < 1:
+                raise ConfigError(f"{key} must be at least 1, got {size}")
         return cfg
 
     @classmethod

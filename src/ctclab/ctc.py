@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import Tensor, add, log_softmax, matmul, record_op
+from .tensor import Tensor, record_op
 
 BLANK = 0
 
@@ -176,10 +176,22 @@ class CTCHead:
         return self.weight.shape[1] - 1
 
     def __call__(self, x: Tensor) -> Tensor:
+        """Log-posteriors of a (T, D) or (B, T, D) representation, recorded
+        as one tape entry."""
         if x.shape[-1] != self.weight.shape[0]:
             raise ValueError(
                 f"head expects width {self.weight.shape[0]}, got {x.shape[-1]}")
-        return log_softmax(add(matmul(x, self.weight), self.bias), axis=-1)
+        w, b = self.weight.data, self.bias.data
+        rows = x.data.reshape(-1, w.shape[0])
+        lead = tuple(range(x.data.ndim - 1))
+        z = (rows @ w).reshape(*x.shape[:-1], w.shape[1]) + b
+        shifted = z - z.max(axis=-1, keepdims=True)
+        y = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+        def bfn(g):
+            dz = g - np.exp(y) * g.sum(axis=-1, keepdims=True)
+            return dz @ w.T, rows.T @ dz.reshape(-1, w.shape[1]), dz.sum(axis=lead)
+        return record_op(y, (x, self.weight, self.bias), bfn)
 
     def parameters(self) -> dict[str, Tensor]:
         return {"weight": self.weight, "bias": self.bias}

@@ -2,22 +2,26 @@
 
 Both layer kinds are pre-norm: each residual branch normalizes its input
 before the sub-block, and the raw input rides the skip connection.  During
-training a per-layer Bernoulli draw keeps or skips the whole layer; kept
-branches are scaled by the inverse survival probability so the expectation
-matches the no-skip forward.  Evaluation never skips.
+training a Bernoulli draw per utterance and layer keeps or skips the whole
+layer (stochastic depth, Huang et al. 2016): each residual branch is scaled
+by a per-utterance keep scale, 1/p_l for a kept layer, so the expectation
+matches the no-skip forward, and 0 for a skipped one.  Evaluation never
+skips.
 
-Every sub-block is fused with its pre-norm: multi-head attention, the
-feed-forward block and the Conformer conv module are each one tape entry
-(`record_op`) whose forward runs in plain numpy and whose backward is
-analytic, so each costs one tape op per layer whatever the number of heads
-or kernel taps.  A Transformer layer is two such entries and a Conformer
-layer four plus its output norm, each with its residual adds and, in
-training, branch scales.
+Every residual sub-block is one tape entry (`record_op`) holding its
+pre-norm, the block and the residual add x + c * block: multi-head
+attention, the feed-forward block (with the Conformer's output norm folded
+into its second one) and the Conformer conv module.  Each forward runs in
+plain numpy and each backward is analytic, so a Transformer layer costs two
+tape entries and a Conformer layer four, whatever the number of heads or
+kernel taps.  The input frontend is one entry too.
 
-Every op takes a (T, D) utterance or a (B, T, D) stack of equal-length
-utterances.  Only evaluation uses the leading axis: it decodes a stack per
-forward, with no padding and so no masks.  Training forwards one utterance
-per tape, where every reshape onto the leading axis is a no-op view and the
+Every op takes a (T, D) utterance or a (B, T, D) stack.  Evaluation stacks
+utterances of one length, so nothing is padded.  Training stacks a
+micro-batch padded to its longest utterance: a `Padding` masks the padded
+keys out of the attention softmax and zeroes the padded frames before the
+depthwise conv, so each row's real frames are computed as if alone.  At
+rank 2 every reshape onto the leading axis is a no-op view and the
 arithmetic is that of plain (T, D) products.
 """
 from __future__ import annotations
@@ -34,11 +38,7 @@ from .tensor import (
     _norm_backward,
     _norm_forward,
     _sigmoid,
-    add,
-    layer_norm,
-    matmul,
     record_op,
-    scale,
 )
 
 LAYER_KINDS = ("transformer", "conformer")
@@ -85,9 +85,11 @@ def survival_probability(layer_index: int, num_layers: int, floor: float) -> flo
 
 @dataclass
 class LayerTrace:
-    """Per-layer outputs x_1..x_L and the keep/skip mask drawn for each."""
+    """Per-layer outputs x_1..x_L and the keep/skip mask drawn for each:
+    for a (T, D) trace one 0/1 per layer, for a stack one such list per
+    utterance."""
     states: list[Tensor]
-    skip_mask: list[int]  # 1 = layer applied, 0 = skipped (identity)
+    skip_mask: list  # 1 = layer applied, 0 = skipped (identity)
 
     @property
     def num_layers(self) -> int:
@@ -181,18 +183,43 @@ def _rows(m: np.ndarray) -> np.ndarray:
     return m.reshape(-1, m.shape[-1])
 
 
+@dataclass(frozen=True)
+class Padding:
+    """Where the frames of a padded (B, T, D) stack end: `keys` is added to
+    the attention scores, 0 at a real key and -inf at a padded one, with
+    shape (B, 1, 1, T); `frames` is 1 at a real frame and 0 at a padded
+    one, one row per position of the stack, (B*T, 1)."""
+    keys: np.ndarray
+    frames: np.ndarray
+
+    @classmethod
+    def of(cls, lengths: np.ndarray, steps: int, dtype) -> "Padding | None":
+        """The padding of a stack of rows `lengths` frames long, padded to
+        `steps`; None when no row is padded."""
+        real = np.arange(steps) < lengths[:, None]
+        if real.all():
+            return None
+        keys = np.where(real, 0.0, -np.inf).astype(dtype)[:, None, None, :]
+        return cls(keys, real.reshape(-1, 1).astype(dtype))
+
+
 def self_attention(x: Tensor, norm: Norm, p: Attention, n_heads: int,
+                   branch_scale=1.0, padding: Padding | None = None,
                    return_weights: bool = False):
-    """Pre-norm and multi-head scaled dot-product attention over all
-    positions of each (T, D) utterance (full context, no masking), recorded
-    as one tape entry.  `x` is (T, D) or an equal-length (B, T, D) stack.
+    """Residual pre-norm multi-head attention, x + c * attention(norm(x)),
+    recorded as one tape entry.  `x` is (T, D) or a (B, T, D) stack; `c`
+    is `branch_scale`, a float or, in training, a (B, 1, 1) array of
+    per-utterance keep scales.  Each query attends to every key of its own
+    utterance, except the padded keys that `padding` marks.
 
     The heads run as batched (..., H, T, d_h) products and the softmax
     subtracts each row's maximum, so extreme scores stay finite.  The
     backward is analytic: dV = A^T dO, dA = dO V^T,
     dS = A * (dA - rowsum(dA * A)), dQ = dS K / sqrt(d_h) and
-    dK = dS^T Q / sqrt(d_h).  With `return_weights`, the (T, T) attention
-    maps come back too, one per utterance and head, as constant tensors.
+    dK = dS^T Q / sqrt(d_h).  `x` is an input twice, for the residual's
+    adjoint and then for the block's, so the tape sums them in the order
+    of the separate add.  With `return_weights`, the (T, T) attention maps
+    come back too, one per utterance and head, as constant tensors.
     """
     if x.data.ndim < 2:
         raise ValueError(f"self_attention expects a (..., T, D) input, got {x.shape}")
@@ -215,14 +242,17 @@ def self_attention(x: Tensor, norm: Norm, p: Attention, n_heads: int,
     # the softmax runs in place, so one (..., H, T, T) buffer is live at a time
     attn = q @ k.swapaxes(-1, -2)
     attn *= c
+    if padding is not None:
+        attn += padding.keys
     attn -= attn.max(axis=-1, keepdims=True)
     np.exp(attn, out=attn)
     attn /= attn.sum(axis=-1, keepdims=True)
     context = merge(attn @ v)
+    block = (context @ p.wo.data + p.bo.data).reshape(x.shape)
 
     def bfn(g):
-        g = _rows(g)
-        d_ctx = split(g @ p.wo.data.T)
+        gb = _rows(g * branch_scale)
+        d_ctx = split(gb @ p.wo.data.T)
         d_attn = d_ctx @ v.swapaxes(-1, -2)
         d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True)) * c
         dq = merge(d_scores @ k)
@@ -230,42 +260,69 @@ def self_attention(x: Tensor, norm: Norm, p: Attention, n_heads: int,
         dv = merge(attn.swapaxes(-1, -2) @ d_ctx)
         dxn = dq @ p.wq.data.T + dk @ p.wk.data.T + dv @ p.wv.data.T
         dx, dgain, dbias = _norm_backward(dxn, norm.gain.data, xhat, inv)
-        return (dx.reshape(x.shape), dgain, dbias,
+        return (g, dx.reshape(x.shape), dgain, dbias,
                 xn.T @ dq, dq.sum(axis=0), xn.T @ dk, dk.sum(axis=0),
-                xn.T @ dv, dv.sum(axis=0), context.T @ g, g.sum(axis=0))
-    out = record_op((context @ p.wo.data + p.bo.data).reshape(x.shape),
-                    (x, norm.gain, norm.bias, p.wq, p.bq, p.wk, p.bk, p.wv, p.bv,
+                xn.T @ dv, dv.sum(axis=0), context.T @ gb, gb.sum(axis=0))
+    out = record_op(x.data + block * branch_scale,
+                    (x, x, norm.gain, norm.bias, p.wq, p.bq, p.wk, p.bk, p.wv, p.bv,
                      p.wo, p.bo), bfn)
     if not return_weights:
         return out
     return out, [Tensor(a) for a in attn.reshape(-1, steps, steps)]
 
 
-def _feed_forward(x: Tensor, norm: Norm, p: FeedForward, activation: str) -> Tensor:
-    """Pre-norm and position-wise two-layer feed-forward with a relu or
-    swish between, recorded as one tape entry with an analytic backward."""
+def _feed_forward(x: Tensor, norm: Norm, p: FeedForward, activation: str,
+                  branch_scale=1.0, out_norm: Norm | None = None) -> Tensor:
+    """Residual pre-norm position-wise feed-forward, x + c * ffn(norm(x))
+    with a relu or swish between its two layers, and then `out_norm` if
+    given (the Conformer's output norm), recorded as one tape entry with an
+    analytic backward.  `c` is `branch_scale`, as for `self_attention`.
+    The output norm is part of the layer, not of its branch, so the rows of
+    an utterance whose scale is 0, one that skips the layer, bypass it."""
     if activation not in ("relu", "swish"):
         raise ValueError(f"unknown activation {activation!r}")
     xn, xhat, inv = _norm(_rows(x.data), norm)
     h = xn @ p.w1.data + p.b1.data
     s = _sigmoid(h) if activation == "swish" else None
     a = np.maximum(h, 0.0) if s is None else h * s
+    y = x.data + (a @ p.w2.data + p.b2.data).reshape(x.shape) * branch_scale
+    skips = None
+    if out_norm is not None:
+        normed, yhat, yinv = _norm(_rows(y), out_norm)
+        normed = normed.reshape(x.shape)
+        if np.ndim(branch_scale) and not np.all(branch_scale):
+            skips = branch_scale == 0
+            normed = np.where(skips, y, normed)
+        y = normed
 
     def bfn(g):
-        g = _rows(g)
-        da = g @ p.w2.data.T
+        tail = ()
+        if out_norm is not None:
+            gn = g if skips is None else np.where(skips, 0.0, g)
+            dy, dogain, dobias = _norm_backward(_rows(gn), out_norm.gain.data, yhat, yinv)
+            dy = dy.reshape(x.shape)
+            g = dy if skips is None else np.where(skips, g, dy)
+            tail = (dogain, dobias)
+        gb = _rows(g * branch_scale)
+        da = gb @ p.w2.data.T
         dh = da * (h > 0) if s is None else da * (s + a * (1.0 - s))
         dx, dgain, dbias = _norm_backward(dh @ p.w1.data.T, norm.gain.data, xhat, inv)
-        return (dx.reshape(x.shape), dgain, dbias,
-                xn.T @ dh, dh.sum(axis=0), a.T @ g, g.sum(axis=0))
-    return record_op((a @ p.w2.data + p.b2.data).reshape(x.shape),
-                     (x, norm.gain, norm.bias, p.w1, p.b1, p.w2, p.b2), bfn)
+        return (g, dx.reshape(x.shape), dgain, dbias,
+                xn.T @ dh, dh.sum(axis=0), a.T @ gb, gb.sum(axis=0), *tail)
+    inputs = (x, x, norm.gain, norm.bias, p.w1, p.b1, p.w2, p.b2)
+    if out_norm is not None:
+        inputs += (out_norm.gain, out_norm.bias)
+    return record_op(y, inputs, bfn)
 
 
-def _conv_module(x: Tensor, norm: Norm, p: ConvModule) -> Tensor:
-    """Pre-norm and Conformer convolution module, recorded as one tape entry:
-    pointwise expansion x2 -> GLU -> depthwise conv over time (axis -2, same
-    padding, odd kernel) -> norm -> swish -> pointwise.
+def _conv_module(x: Tensor, norm: Norm, p: ConvModule, branch_scale=1.0,
+                 padding: Padding | None = None) -> Tensor:
+    """Residual pre-norm Conformer convolution module, x + c * conv(norm(x)),
+    recorded as one tape entry: pointwise expansion x2 -> GLU -> depthwise
+    conv over time (axis -2, same padding, odd kernel) -> norm -> swish ->
+    pointwise.  `c` is `branch_scale`, as for `self_attention`.  The GLU
+    output is zeroed at the frames `padding` marks, forward and backward,
+    so the conv sees a padded utterance as it sees the utterance alone.
 
     Forward and backward keep the operation order of the same chain built
     from tensor primitives, so float32 results are bit-equal to it: the GLU
@@ -277,7 +334,10 @@ def _conv_module(x: Tensor, norm: Norm, p: ConvModule) -> Tensor:
     half = h.shape[1] // 2
     a = h[:, :half]
     gate = _sigmoid(h[:, half:])
-    glu = (a * gate).reshape(*x.shape[:-1], half)
+    glu = a * gate
+    if padding is not None:
+        glu *= padding.frames
+    glu = glu.reshape(*x.shape[:-1], half)
     steps, width = x.shape[-2], p.kernel.shape[0]
     pad = width // 2
     padded = np.zeros((*x.shape[:-2], steps + 2 * pad, half), dtype=glu.dtype)
@@ -288,10 +348,11 @@ def _conv_module(x: Tensor, norm: Norm, p: ConvModule) -> Tensor:
     n, nhat, ninv = _norm(_rows(conv) + p.kernel_bias.data, p.norm)
     s = _sigmoid(n)
     act = n * s
+    block = (act @ p.pw2_w.data + p.pw2_b.data).reshape(x.shape)
 
     def bfn(g):
-        g = _rows(g)
-        dn = (g @ p.pw2_w.data.T) * (s + n * s * (1.0 - s))
+        gb = _rows(g * branch_scale)
+        dn = (gb @ p.pw2_w.data.T) * (s + n * s * (1.0 - s))
         dconv, dngain, dnbias = _norm_backward(dn, p.norm.gain.data, nhat, ninv)
         dconv = dconv.reshape(glu.shape)
         dkernel = np.empty_like(p.kernel.data)
@@ -300,44 +361,32 @@ def _conv_module(x: Tensor, norm: Norm, p: ConvModule) -> Tensor:
             dkernel[j] = _rows(padded[..., j:j + steps, :] * dconv).sum(axis=0)
             dpadded[..., j:j + steps, :] += dconv * p.kernel.data[j]
         dglu = _rows(dpadded[..., pad:pad + steps, :])
+        if padding is not None:
+            dglu *= padding.frames
         dh = np.concatenate((dglu * gate, dglu * a * gate * (1.0 - gate)), axis=1)
         dx, dgain, dbias = _norm_backward(dh @ p.pw1_w.data.T, norm.gain.data, xhat, inv)
-        return (dx.reshape(x.shape), dgain, dbias, xn.T @ dh, dh.sum(axis=0),
+        return (g, dx.reshape(x.shape), dgain, dbias, xn.T @ dh, dh.sum(axis=0),
                 dkernel, _rows(dconv).sum(axis=0), dngain, dnbias,
-                act.T @ g, g.sum(axis=0))
-    return record_op((act @ p.pw2_w.data + p.pw2_b.data).reshape(x.shape),
-                     (x, norm.gain, norm.bias, p.pw1_w, p.pw1_b, p.kernel,
+                act.T @ gb, gb.sum(axis=0))
+    return record_op(x.data + block * branch_scale,
+                     (x, x, norm.gain, norm.bias, p.pw1_w, p.pw1_b, p.kernel,
                       p.kernel_bias, p.norm.gain, p.norm.bias, p.pw2_w, p.pw2_b),
                      bfn)
 
 
 def transformer_layer(x: Tensor, p: TransformerLayer, n_heads: int,
-                      branch_scale: float = 1.0) -> Tensor:
-    a = self_attention(x, p.att_norm, p.attention, n_heads)
-    if branch_scale != 1.0:
-        a = scale(a, branch_scale)
-    x = add(x, a)
-    f = _feed_forward(x, p.ffn_norm, p.ffn, "relu")
-    if branch_scale != 1.0:
-        f = scale(f, branch_scale)
-    return add(x, f)
+                      branch_scale=1.0, padding: Padding | None = None) -> Tensor:
+    x = self_attention(x, p.att_norm, p.attention, n_heads, branch_scale, padding)
+    return _feed_forward(x, p.ffn_norm, p.ffn, "relu", branch_scale)
 
 
 def conformer_layer(x: Tensor, p: ConformerLayer, n_heads: int,
-                    branch_scale: float = 1.0) -> Tensor:
-    x = add(x, scale(_feed_forward(x, p.ffn1_norm, p.ffn1, "swish"),
-                     0.5 * branch_scale))
-    a = self_attention(x, p.att_norm, p.attention, n_heads)
-    if branch_scale != 1.0:
-        a = scale(a, branch_scale)
-    x = add(x, a)
-    c = _conv_module(x, p.conv_norm, p.conv)
-    if branch_scale != 1.0:
-        c = scale(c, branch_scale)
-    x = add(x, c)
-    x = add(x, scale(_feed_forward(x, p.ffn2_norm, p.ffn2, "swish"),
-                     0.5 * branch_scale))
-    return layer_norm(x, p.out_norm.gain, p.out_norm.bias, eps=NORM_EPS)
+                    branch_scale=1.0, padding: Padding | None = None) -> Tensor:
+    half = 0.5 * branch_scale
+    x = _feed_forward(x, p.ffn1_norm, p.ffn1, "swish", half)
+    x = self_attention(x, p.att_norm, p.attention, n_heads, branch_scale, padding)
+    x = _conv_module(x, p.conv_norm, p.conv, branch_scale, padding)
+    return _feed_forward(x, p.ffn2_norm, p.ffn2, "swish", half, out_norm=p.out_norm)
 
 
 @functools.lru_cache(maxsize=64)
@@ -419,48 +468,79 @@ class Encoder:
 
     def input_frontend(self, x0: Tensor) -> Tensor:
         """Linear projection of the raw (..., T, F) features plus the absolute
-        sinusoidal positional term, one (T, D) table for every utterance."""
+        sinusoidal positional term, one (T, D) table for every utterance,
+        recorded as one tape entry."""
         if x0.shape[-1] != self.config.input_dim:
             raise ValueError(
                 f"expected input width {self.config.input_dim}, got {x0.shape[-1]}")
-        proj = add(matmul(x0, self.frontend_w), self.frontend_b)
-        pos = Tensor(sinusoidal_encoding(x0.shape[-2], self.config.d_model, self.dtype))
-        return add(proj, pos)
+        w, b = self.frontend_w, self.frontend_b
+        rows = _rows(x0.data)
+        lead = tuple(range(x0.data.ndim - 1))
+        pos = sinusoidal_encoding(x0.shape[-2], self.config.d_model, self.dtype)
+        proj = (rows @ w.data).reshape(*x0.shape[:-1], w.shape[1]) + b.data
+
+        def bfn(g):
+            return g @ w.data.T, rows.T @ _rows(g), g.sum(axis=lead)
+        return record_op(proj + pos, (x0, w, b), bfn)
 
     def forward(self, x0: Tensor, mode: str = "eval",
-                rng: np.random.Generator | None = None) -> LayerTrace:
+                rng: np.random.Generator | None = None,
+                lengths=None, draws: np.ndarray | None = None) -> LayerTrace:
         """Run the stack, recording every intermediate representation.
 
-        `x0` is one (T, F) utterance, or in eval mode also a (B, T, F) stack
-        of equal-length utterances, each row forwarded as if alone.  In
-        train mode each layer draws keep ~ Bernoulli(p_l); skipped layers
-        are the identity and kept residual branches are scaled by 1/p_l.  In
-        eval mode nothing is skipped and no scaling applies.
+        `x0` is one (T, F) utterance or a (B, T, F) stack of utterances
+        padded to the longest, whose frame counts `lengths` gives (all T
+        when omitted; train mode needs them for a stack).  Each row's real
+        frames are forwarded as if alone: attention skips the padded keys
+        and the conv module the padded frames.
+
+        In train mode utterance b keeps layer l when draws[b, l] < p_l.
+        `draws` is a (B, L) array of uniform draws, by default
+        rng.random((B, L)), which for one utterance gives the values of L
+        calls of rng.random().  A kept layer scales its residual branches
+        by 1/p_l and a skipped one by 0, each utterance by its own scale; a
+        layer that no utterance keeps is the identity.  In eval mode
+        nothing is skipped and no scaling applies.
         """
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-        training = mode == "train"
-        if training and rng is None:
-            raise ValueError("train mode needs an rng for the skip draws")
-        if training and x0.data.ndim != 2:
-            raise ValueError(f"train mode takes one (T, F) utterance, got {x0.shape}")
         cfg = self.config
+        stacked = x0.data.ndim == 3
+        batch, steps = (x0.shape[0] if stacked else 1), x0.shape[-2]
+        padding = None
+        if lengths is not None:
+            lengths = np.asarray(lengths)
+            if lengths.shape != (batch,) or not ((1 <= lengths) & (lengths <= steps)).all():
+                raise ValueError(f"lengths {lengths.tolist()} do not fit a stack of "
+                                 f"{batch} rows of {steps} frames")
+            padding = Padding.of(lengths, steps, self.dtype)
+        keep = np.ones((batch, cfg.num_layers), dtype=bool)
+        if mode == "train":
+            if stacked and lengths is None:
+                raise ValueError("train mode takes a stack only with its lengths")
+            if draws is None:
+                if rng is None:
+                    raise ValueError("train mode needs an rng or draws for the skips")
+                draws = rng.random((batch, cfg.num_layers))
+            draws = np.asarray(draws)
+            if draws.shape != keep.shape:
+                raise ValueError(f"need {keep.shape} draws, got {draws.shape}")
+            probs = np.array([survival_probability(l, cfg.num_layers, cfg.survival_floor)
+                              for l in range(1, cfg.num_layers + 1)])
+            keep = draws < probs
+            # layer l's scales as a (B, 1, 1) array, or (1, 1) for one utterance
+            scales = (keep / probs).T.astype(self.dtype).reshape(
+                cfg.num_layers, batch, *(1,) * (x0.data.ndim - 1))
         apply_layer = transformer_layer if cfg.kind == "transformer" else conformer_layer
         x = self.input_frontend(x0)
         states: list[Tensor] = []
-        mask: list[int] = []
-        for index, params in enumerate(self.layers, start=1):
-            keep = 1
-            branch_scale = 1.0
-            if training:
-                p = survival_probability(index, cfg.num_layers, cfg.survival_floor)
-                keep = 1 if rng.random() < p else 0
-                branch_scale = 1.0 / p
-            if keep:
-                x = apply_layer(x, params, cfg.n_heads, branch_scale)
+        for index, params in enumerate(self.layers):
+            if keep[:, index].any():
+                branch_scale = scales[index] if mode == "train" else 1.0
+                x = apply_layer(x, params, cfg.n_heads, branch_scale, padding)
             states.append(x)
-            mask.append(keep)
-        return LayerTrace(states, mask)
+        mask = keep.astype(int).tolist()
+        return LayerTrace(states, mask if stacked else mask[0])
 
     def parameters(self) -> dict[str, Tensor]:
         named = {"frontend.weight": self.frontend_w, "frontend.bias": self.frontend_b}

@@ -13,9 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .ctc import CTCHead, ctc_loss, greedy_decode
+from .ctc import CTCHead, InfeasibleTargetError, ctc_loss, greedy_decode
 from .encoder import LayerTrace
-from .tensor import Tensor, add, scale
+from .tensor import Tensor, add, scale, take_frames
 
 VARIANTS = ("none", "middle", "lower", "multiple", "random", "stochastic")
 
@@ -127,7 +127,7 @@ def total_loss(trace: LayerTrace, labels: Sequence[int],
                spec: IntermediateLossSpec, heads: CTCHeads,
                rng: np.random.Generator | None = None,
                plan: ObjectivePlan | None = None) -> LossBreakdown:
-    """Compose the training loss for one utterance from an encoder trace.
+    """Compose the training loss for one utterance from its (T, D) trace.
 
     With variant none (or weight 0 and no stochastic draw) the result is
     bit-identical to the plain final-layer CTC loss.  Pass a precomputed
@@ -136,12 +136,44 @@ def total_loss(trace: LayerTrace, labels: Sequence[int],
     """
     if plan is None:
         plan = plan_step(spec, trace.num_layers, rng)
-    final = ctc_loss(heads.final(trace.final), labels)
+    return _mix(heads.final(trace.final),
+                [(pos, heads.intermediate(trace.states[pos - 1])) for pos in plan.positions],
+                labels, spec, plan)
+
+
+def stack_losses(trace: LayerTrace, lengths: Sequence[int],
+                 labels: Sequence[Sequence[int]], spec: IntermediateLossSpec,
+                 heads: CTCHeads, plan: ObjectivePlan) -> list[LossBreakdown | None]:
+    """The `total_loss` of each utterance of a padded (B, T, D) trace, whose
+    rows are `lengths` frames long, or None for an utterance whose target
+    its frames cannot carry.
+
+    Each head runs once over the whole stack; each utterance's grid is then
+    its own (T_b, V+1) rows, so every CTC call sees the unpadded grid.
+    """
+    final = heads.final(trace.final)
+    inter = [(pos, heads.intermediate(trace.states[pos - 1])) for pos in plan.positions]
+    losses: list[LossBreakdown | None] = []
+    for row, (length, target) in enumerate(zip(lengths, labels)):
+        try:
+            losses.append(_mix(take_frames(final, row, length),
+                               [(pos, take_frames(grid, row, length))
+                                for pos, grid in inter],
+                               target, spec, plan))
+        except InfeasibleTargetError:
+            losses.append(None)
+    return losses
+
+
+def _mix(final_grid: Tensor, inter_grids: list[tuple[int, Tensor]], labels: Sequence[int],
+         spec: IntermediateLossSpec, plan: ObjectivePlan) -> LossBreakdown:
+    """One utterance's loss from its final grid and its grid at each
+    intermediate position."""
+    final = ctc_loss(final_grid, labels)
     if spec.variant == "none":
         return LossBreakdown(final, final.item(), [])
 
-    inter_losses = [(pos, ctc_loss(heads.intermediate(trace.states[pos - 1]), labels))
-                    for pos in plan.positions]
+    inter_losses = [(pos, ctc_loss(grid, labels)) for pos, grid in inter_grids]
     breakdown = [(pos, loss.item()) for pos, loss in inter_losses]
 
     if spec.variant == "stochastic":

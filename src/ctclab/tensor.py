@@ -6,14 +6,21 @@ checks its output for NaN/Inf; producing a non-finite value from finite
 inputs is a contract violation and raises FloatingPointError.
 
 The primitives here are the few the rest of the program composes: add
-(broadcasting a bias or table over leading axes), mul, scale, matmul,
-log_softmax, layer_norm and sum_all.  Each takes a (T, D) array or a
-(B, T, D) stack of them; at rank 2 the arithmetic is that of plain 2-D
-products.  Larger blocks with an analytic backward (the encoder's
-norm-folded attention, feed-forward and conv module) register themselves
-through `record_op` and are one tape entry each; they share the numpy
-helpers `_sigmoid`, `_norm_forward` and `_norm_backward` with the
-primitives.
+(broadcasting a bias or table over leading axes), mul, scale, take_frames
+(one utterance's frames out of a padded stack) and sum_all, plus matmul,
+which only tests use now.  Each takes a (T, D) array or a (B, T, D) stack
+of them; at rank 2 the arithmetic is that of plain 2-D products.  Larger
+blocks with an analytic backward (the input frontend, the encoder's
+residual sub-blocks and the CTC head, each of which takes a whole
+training micro-batch as one stack) register themselves through
+`record_op` and are one tape entry each; the encoder's share the numpy
+helpers `_sigmoid`, `_norm_forward` and `_norm_backward`.
+
+A training step records one tape per micro-batch: a padded stack of
+utterances, forwarded and differentiated together.  An entry may list the
+same tensor twice, as a residual block lists its input, once for the skip
+connection's adjoint and once for the block's; `Tape.backward` sums them
+in the order of the inputs.
 
 Tape lifetime: a tape owns its entries, and so every recorded output and
 the closures of their backward functions, but a tensor refers back to its
@@ -256,15 +263,6 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
     return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    y = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-    def bfn(g):
-        return (g - np.exp(y) * g.sum(axis=axis, keepdims=True),)
-    return _finish(y, (x,), bfn)
-
-
 def _norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
                   eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Layer norm over the last axis: (gain * xhat + bias, xhat, inv), with
@@ -288,13 +286,17 @@ def _norm_backward(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray,
     return dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis to zero mean / unit variance (population
-    variance), then apply the affine transform gain * xhat + bias."""
-    _check_same_dtype(x, gain, "layer_norm")
-    y, xhat, inv = _norm_forward(x.data, gain.data, bias.data, eps)
-    return _finish(y, (x, gain, bias),
-                   lambda g: _norm_backward(g, gain.data, xhat, inv))
+def take_frames(x: Tensor, row: int, length: int) -> Tensor:
+    """The first `length` positions of row `row` of a (B, T, D) stack, as a
+    (length, D) tensor."""
+    if x.data.ndim != 3 or not (0 <= row < x.shape[0] and 1 <= length <= x.shape[1]):
+        raise ValueError(f"take_frames: no row {row} of length {length} in {x.shape}")
+
+    def bfn(g):
+        d = np.zeros_like(x.data)
+        d[row, :length] = g
+        return (d,)
+    return _finish(x.data[row, :length], (x,), bfn)
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -5,11 +5,16 @@ warmup (1000 steps) and a peak scaled by d_model**-0.5.  Training runs in
 float32; checkpoints store float32 payloads bit-exactly.  All randomness
 derives from the config seeds, so equal seeds give byte-identical runs.
 
-Training forwards one utterance per tape, with its own stochastic-depth
-draws and CTC losses, and accumulates 1/batch of each gradient.
-Evaluation has no tape and no draws: it groups utterances by length and
-forwards each group in (B, T, F) stacks of at most EVAL_STACK, so no
-utterance is padded, then greedy-decodes each row.
+Each optimizer step draws its objective plan and then one row of
+stochastic-depth draws per utterance, in batch order.  It sorts its
+utterances by length, stably, and cuts them into micro-batches of at most
+TRAIN_FRAMES padded frames.  Each micro-batch is one padded (B, T, F)
+stack with one tape and one backward, through which every utterance adds
+1/batch of its gradient before the step's one Adam update; each CTC loss
+is still computed on its own utterance's unpadded grid.  Evaluation has no
+tape and no draws: it groups utterances by length and forwards each group
+in (B, T, F) stacks of at most EVAL_STACK, so no utterance is padded, then
+greedy-decodes each row.
 """
 from __future__ import annotations
 
@@ -21,12 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .ctc import CTCHead, InfeasibleTargetError
+from .ctc import CTCHead
 from .data import Utterance, generate_dataset
 from .encoder import Encoder, LayerTrace
 from .metrics import corpus_rate
-from .objective import CTCHeads, LossBreakdown, plan_step, total_loss, eval_decode
-from .tensor import Tape, Tensor, scale
+from .objective import CTCHeads, LossBreakdown, plan_step, stack_losses, eval_decode
+from .tensor import Tape, Tensor, record_op
 
 logger = logging.getLogger(__name__)
 
@@ -43,6 +48,14 @@ PEAK_LR_FACTOR = 3.0
 # within noise, 16 with the best median, while the live memory of a
 # default-config forward grows with the cap: about 2 MB at 16, 3.7 MB at 32.
 EVAL_STACK = 16
+# Most padded frames (utterances x the longest's length) one training tape
+# takes; the tape's saved arrays grow with it.  With one tape per
+# utterance, `bench/run.py` read 558 utt/s on train-default and 102 on
+# train-conformer-long (2-vCPU host).  Budgets of 64, 128, 192 and 256
+# read about 787, 894, 919 and 878 utt/s and 100, 110, 112 and 113 utt/s
+# (two seeds each), and raised peak RSS by 1%, 4%, 6% and 9% and by 0%,
+# 6%, 13% and 22%.
+TRAIN_FRAMES = 128
 
 
 class TrainingDiverged(RuntimeError):
@@ -76,11 +89,12 @@ class Model:
         return named
 
     def trace(self, features: np.ndarray, mode: str = "eval",
-              rng: np.random.Generator | None = None) -> LayerTrace:
-        """Forward (T, F) features, or in eval mode a (B, T, F) stack of
-        equal-length utterances."""
+              rng: np.random.Generator | None = None, lengths=None,
+              draws: np.ndarray | None = None) -> LayerTrace:
+        """Forward (T, F) features or a (B, T, F) stack, as
+        `Encoder.forward` takes them."""
         x0 = Tensor(np.asarray(features, dtype=self.encoder.dtype))
-        return self.encoder.forward(x0, mode=mode, rng=rng)
+        return self.encoder.forward(x0, mode=mode, rng=rng, lengths=lengths, draws=draws)
 
 
 # --- optimizer ---------------------------------------------------------------
@@ -249,16 +263,50 @@ class TrainResult:
     skipped_utterances: int
 
 
-def utterance_loss(model: Model, utt: Utterance, spec, plan,
-                   rng: np.random.Generator, batch_size: int) -> LossBreakdown:
-    """Forward one utterance in train mode and push 1/batch of its gradient
-    onto the parameters."""
-    with Tape() as tape:
-        trace = model.trace(utt.features, mode="train", rng=rng)
-        breakdown = total_loss(trace, utt.labels, spec, model.heads, plan=plan)
-        scaled = scale(breakdown.total, 1.0 / batch_size)
-    tape.backward(scaled)
-    return breakdown
+def micro_batches(lengths: list[int]) -> list[list[int]]:
+    """Indices of a step's utterances, sorted stably by length and cut into
+    groups whose size times their longest length is at most TRAIN_FRAMES;
+    an utterance longer than that is a group of its own."""
+    groups: list[list[int]] = []
+    for index in np.argsort(lengths, kind="stable").tolist():
+        if groups and (len(groups[-1]) + 1) * lengths[index] <= TRAIN_FRAMES:
+            groups[-1].append(index)
+        else:
+            groups.append([index])
+    return groups
+
+
+def step_losses(model: Model, batch: list[Utterance], spec, plan,
+                draws: np.ndarray) -> list[LossBreakdown | None]:
+    """Forward and backward one step's utterances in micro-batches, pushing
+    1/len(batch) of each utterance's gradient onto the parameters.  Row i
+    of `draws` holds utterance i's stochastic-depth draws.  Returns each
+    utterance's loss breakdown in batch order, None where its target is
+    infeasible; such an utterance adds no gradient."""
+    lengths = [utt.features.shape[0] for utt in batch]
+    breakdowns: list[LossBreakdown | None] = [None] * len(batch)
+    for group in micro_batches(lengths):
+        group_lengths = [lengths[i] for i in group]
+        stack = np.zeros((len(group), max(group_lengths), batch[0].features.shape[1]),
+                         dtype=model.encoder.dtype)
+        for row, i in enumerate(group):
+            stack[row, :lengths[i]] = batch[i].features
+        with Tape() as tape:
+            trace = model.trace(stack, mode="train", lengths=group_lengths,
+                                draws=draws[group])
+            losses = stack_losses(trace, group_lengths, [batch[i].labels for i in group],
+                                  spec, model.heads, plan)
+            totals = tuple(b.total for b in losses if b is not None)
+            share = None
+            if totals:  # the micro-batch's share of the step's mean loss
+                c = 1.0 / len(batch)
+                share = record_op(sum(t.data for t in totals) * c, totals,
+                                  lambda g: [g * c] * len(totals))
+        if share is not None:
+            tape.backward(share)
+        for i, breakdown in zip(group, losses):
+            breakdowns[i] = breakdown
+    return breakdowns
 
 
 def run_training(cfg: RunConfig, out_dir) -> TrainResult:
@@ -288,21 +336,19 @@ def run_training(cfg: RunConfig, out_dir) -> TrainResult:
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_set[i] for i in order[start:start + cfg.batch_size]]
             plan = plan_step(spec, cfg.layers, rng)
-            batch_losses = []
-            for utt in batch:
-                try:
-                    breakdown = utterance_loss(model, utt, spec, plan, rng,
-                                               len(batch))
-                except InfeasibleTargetError:
+            draws = rng.random((len(batch), cfg.layers))
+            try:
+                breakdowns = step_losses(model, batch, spec, plan, draws)
+            except FloatingPointError as err:
+                raise TrainingDiverged(
+                    f"non-finite value at epoch {epoch}, step {optimizer.step + 1}: {err}"
+                ) from err
+            for utt, breakdown in zip(batch, breakdowns):
+                if breakdown is None:
                     skipped += 1
                     logger.warning("skipping infeasible utterance (T=%d, U=%d)",
                                    utt.features.shape[0], len(utt.labels))
-                    continue
-                except FloatingPointError as err:
-                    raise TrainingDiverged(
-                        f"non-finite value at epoch {epoch}, step {optimizer.step + 1}: {err}"
-                    ) from err
-                batch_losses.append(breakdown.total.item())
+            batch_losses = [b.total.item() for b in breakdowns if b is not None]
             if not batch_losses:
                 continue
             optimizer.apply_gradients(params)

@@ -129,6 +129,17 @@ class TestParsing:
         ("task.sigma=inf", "sigma"),
         ("task.sigma=-inf", "sigma"),
         ("task.vocab=1\ntask.min_duration=1\ntask.max_duration=1", "vocab 1"),
+        ("loss.variant=lower\nloss.position=9", r"positions \[9\] outside \[1, 3\]"),
+        ("loss.variant=lower\nloss.position=4", r"positions \[4\] outside \[1, 3\]"),
+        ("loss.variant=multiple\nloss.k=9", "outside"),
+        ("model.layers=1", "at least 2 layers"),
+        ("model.layers=1\nloss.variant=lower", "at least 2 layers"),
+        ("model.layers=1\nloss.variant=random", "at least 2 layers"),
+        ("model.layers=1\nloss.variant=stochastic", "at least 2 layers"),
+        ("model.layers=1\nloss.variant=multiple", "at least 2 layers"),
+        ("task.train_size=0", "task.train_size"),
+        ("task.train_size=-3", "task.train_size"),
+        ("task.dev_size=0", "task.dev_size"),
     ])
     def test_values_that_crash_hang_or_mislead_are_rejected(self, text, named):
         with pytest.raises(ConfigError, match=named):

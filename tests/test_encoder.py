@@ -18,7 +18,7 @@ from ctclab.encoder import (
     survival_probability,
     transformer_layer,
 )
-from ctclab.tensor import Tape, Tensor, add, gradcheck, layer_norm, matmul, mul, sum_all
+from ctclab.tensor import Tape, Tensor, _norm_forward, add, gradcheck, matmul, mul, sum_all
 
 
 def tiny_config(kind="transformer", **kw):
@@ -39,6 +39,11 @@ def randomize(params, rng):
     for _, t in _named_tensors(params, ""):
         t.data[...] = rng.uniform(-1.0, 1.0, size=t.shape)
     return params
+
+
+def layer_norm(x, p):
+    """The pre-norm's output for an array, bit-equal to the encoder's."""
+    return _norm_forward(x, p.gain.data, p.bias.data, 1e-5)[0]
 
 
 def unit_norm(width):
@@ -192,7 +197,6 @@ class TestLayers:
             assert out.shape == (steps, 8)
 
     def test_conformer_zero_blocks_is_layernorm(self):
-        from ctclab.tensor import layer_norm
         enc = Encoder.build(tiny_config("conformer"))
         layer = enc.layers[0]
         zero_out(layer.ffn1.w2, layer.ffn1.b2, layer.attention.wo,
@@ -200,8 +204,7 @@ class TestLayers:
                  layer.ffn2.w2, layer.ffn2.b2)
         x = Tensor(np.random.default_rng(4).normal(size=(5, 8)))
         out = conformer_layer(x, layer, n_heads=2)
-        expect = layer_norm(x, layer.out_norm.gain, layer.out_norm.bias, eps=1e-5)
-        np.testing.assert_array_equal(out.data, expect.data)
+        np.testing.assert_array_equal(out.data, layer_norm(x.data, layer.out_norm))
 
 
 class TestSelfAttention:
@@ -210,9 +213,9 @@ class TestSelfAttention:
         norm, p = layer.att_norm, layer.attention
         x = Tensor(np.random.default_rng(5).normal(size=(1, 8)))
         out = self_attention(x, norm, p, n_heads=2)
-        xn = layer_norm(x, norm.gain, norm.bias, eps=1e-5)
+        xn = Tensor(layer_norm(x.data, norm))
         expect = add(matmul(add(matmul(xn, p.wv), p.bv), p.wo), p.bo)
-        np.testing.assert_allclose(out.data, expect.data, atol=1e-12)
+        np.testing.assert_allclose(out.data, x.data + expect.data, atol=1e-12)
 
     def test_attention_rows_sum_to_one(self):
         layer = Encoder.build(tiny_config()).layers[0]
@@ -229,7 +232,7 @@ class TestSelfAttention:
         norm, p = randomize(layer.att_norm, rng), randomize(layer.attention, rng)
         x = rng.normal(size=(7, 8))
         out = self_attention(Tensor(x), norm, p, n_heads=2)
-        np.testing.assert_allclose(out.data, reference_attention(x, norm, p, 2),
+        np.testing.assert_allclose(out.data, x + reference_attention(x, norm, p, 2),
                                    rtol=0, atol=1e-12)
 
     def test_equal_scores_average_the_values(self):
@@ -247,7 +250,7 @@ class TestSelfAttention:
                                        rtol=0, atol=1e-15)
         mean_value = (reference_norm(x, norm) @ p.wv.data + p.bv.data).mean(axis=0)
         expect = np.tile(mean_value @ p.wo.data + p.bo.data, (5, 1))
-        np.testing.assert_allclose(out.data, expect, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.data, x + expect, rtol=0, atol=1e-12)
 
     def test_extreme_scores_stay_finite(self):
         # one head over rows that the pre-norm leaves as u, w and -u, with u
@@ -267,7 +270,7 @@ class TestSelfAttention:
             loss = sum_all(mul(out, w))
         tape.backward(loss)
         np.testing.assert_allclose(weights[0].data, np.eye(3), rtol=0, atol=1e-300)
-        np.testing.assert_array_equal(out.data, layer_norm(x, norm.gain, norm.bias).data)
+        np.testing.assert_array_equal(out.data, x.data + layer_norm(x.data, norm))
         for t in (x, norm.gain, norm.bias, *vars(p).values()):
             assert np.isfinite(t.grad).all()
 
@@ -290,7 +293,7 @@ class TestFeedForward:
         x = rng.normal(size=(6, 8))
         out = _feed_forward(Tensor(x), norm, p, activation)
         np.testing.assert_allclose(out.data,
-                                   reference_feed_forward(x, norm, p, activation),
+                                   x + reference_feed_forward(x, norm, p, activation),
                                    rtol=0, atol=1e-12)
 
     def test_relu_zero_gradient_on_negative_inputs(self):
@@ -305,8 +308,8 @@ class TestFeedForward:
             out = _feed_forward(x, norm, p, "relu")
             loss = sum_all(out)
         tape.backward(loss)
-        xn = layer_norm(x, norm.gain, norm.bias).data
-        np.testing.assert_array_equal(out.data, np.maximum(xn, 0.0))
+        xn = layer_norm(x.data, norm)
+        np.testing.assert_array_equal(out.data, x.data + np.maximum(xn, 0.0))
         np.testing.assert_array_equal(p.b1.grad, [0.0, 0.0, 1.0])
 
     def test_unknown_activation_rejected(self):
@@ -325,7 +328,7 @@ class TestConvModule:
         norm, p = self.conv(rng)
         x = rng.normal(size=(6, 8))
         out = _conv_module(Tensor(x), norm, p)
-        np.testing.assert_allclose(out.data, reference_conv_module(x, norm, p),
+        np.testing.assert_allclose(out.data, x + reference_conv_module(x, norm, p),
                                    rtol=0, atol=1e-12)
 
     def test_glu_zero_gate_halves(self):
@@ -337,7 +340,7 @@ class TestConvModule:
         x = rng.normal(size=(5, 8))
         values = reference_norm(x, norm) @ p.pw1_w.data[:, :8] + p.pw1_b.data[:8]
         out = _conv_module(Tensor(x), norm, p)
-        np.testing.assert_allclose(out.data, reference_conv_tail(0.5 * values, p),
+        np.testing.assert_allclose(out.data, x + reference_conv_tail(0.5 * values, p),
                                    rtol=0, atol=1e-12)
 
     def test_identity_kernel(self):
@@ -355,16 +358,17 @@ class TestConvModule:
             n = reference_norm(glu, p.norm)
             expect = (n / (1.0 + np.exp(-n))) @ p.pw2_w.data + p.pw2_b.data
             out = _conv_module(Tensor(x), norm, p)
-            np.testing.assert_allclose(out.data, expect, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(out.data, x + expect, rtol=0, atol=1e-12)
 
     def test_zero_kernel_output_ignores_input(self):
         rng = np.random.default_rng(22)
         norm, p = self.conv(rng)
         zero_out(p.kernel)
-        a = _conv_module(Tensor(rng.normal(size=(4, 8))), norm, p)
-        b = _conv_module(Tensor(rng.normal(size=(4, 8))), norm, p)
-        np.testing.assert_array_equal(a.data, b.data)
-        np.testing.assert_array_equal(a.data, np.tile(a.data[0], (4, 1)))
+        xa, xb = rng.normal(size=(4, 8)), rng.normal(size=(4, 8))
+        a = _conv_module(Tensor(xa), norm, p).data - xa
+        b = _conv_module(Tensor(xb), norm, p).data - xb
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a, np.tile(a[0], (4, 1)), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("kernel", [1, 3, 7])
     @pytest.mark.parametrize("steps", [1, 2, 9])

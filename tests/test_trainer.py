@@ -2,13 +2,14 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ctclab.trainer
 from ctclab.config import RunConfig
-from ctclab.ctc import ctc_loss
+from ctclab.ctc import InfeasibleTargetError, ctc_loss
 from ctclab.data import Utterance, generate_dataset
-from ctclab.objective import eval_decode, plan_step
-from ctclab.tensor import Tape
+from ctclab.objective import eval_decode, plan_step, total_loss
+from ctclab.tensor import Tape, scale
 from ctclab.trainer import (
     Checkpoint,
     Model,
@@ -20,9 +21,10 @@ from ctclab.trainer import (
     evaluate_model,
     load_checkpoint,
     load_model_state,
+    micro_batches,
     run_training,
     save_checkpoint,
-    utterance_loss,
+    step_losses,
 )
 
 TINY = """
@@ -208,8 +210,7 @@ class TestTraining:
         before = eval_loss()
         for _ in range(50):
             plan = plan_step(spec, cfg.layers, rng)
-            for utt in train:
-                utterance_loss(model, utt, spec, plan, rng, len(train))
+            step_losses(model, train, spec, plan, rng.random((len(train), cfg.layers)))
             optimizer.apply_gradients(params)
         assert eval_loss() < 0.5 * before
 
@@ -236,16 +237,109 @@ class TestTraining:
         def poisoned(*args, **kwargs):
             raise FloatingPointError("op produced a non-finite value")
 
-        monkeypatch.setattr(ctclab.trainer, "utterance_loss", poisoned)
+        monkeypatch.setattr(ctclab.trainer, "step_losses", poisoned)
         with pytest.raises(TrainingDiverged, match="epoch 1"):
             run_training(tiny_cfg(), tmp_path)
+
+
+PROPERTY_CONFIG = """
+model.layers=3
+model.d_model=8
+model.heads=2
+model.d_ff=12
+model.conv_kernel=3
+model.p_last=0.5
+model.separate_heads=true
+loss.variant=multiple
+loss.k=2
+task.vocab=3
+task.dim=5
+"""
+
+
+class TestMicroBatches:
+    """A step trained in padded micro-batches against the same step trained
+    one utterance per tape, in float64."""
+
+    @settings(max_examples=30)
+    @given(utterances=st.lists(st.tuples(st.integers(1, 30),
+                                         st.lists(st.booleans(), min_size=3, max_size=3)),
+                               min_size=1, max_size=6),
+           infeasible=st.integers(0, 5), budget=st.sampled_from([1, 40, 128]),
+           kind=st.sampled_from(["transformer", "conformer"]))
+    def test_matches_one_utterance_tapes(self, utterances, infeasible, budget, kind):
+        cfg = RunConfig.parse(PROPERTY_CONFIG + f"model.kind={kind}\n")
+        model = Model.from_run_config(cfg, dtype=np.float64)
+        params = model.parameters()
+        rng = np.random.default_rng(len(utterances))
+        for p in params.values():
+            p.data[...] = rng.uniform(-0.5, 0.5, size=p.shape)
+        batch = []
+        for index, (steps, _) in enumerate(utterances):
+            labels = tuple(int(t) for t in rng.integers(1, 4, size=max(1, steps // 3)))
+            if index == infeasible % len(utterances):
+                labels = (1, 2) * steps  # needs 2T frames
+            batch.append(Utterance(rng.normal(size=(steps, 5)), labels))
+        # a draw of 0 keeps every layer, 0.999 skips it (p_l <= 5/6)
+        draws = np.array([[0.0 if kept else 0.999 for kept in keep]
+                          for _, keep in utterances])
+        spec = cfg.loss_spec()
+        plan = plan_step(spec, cfg.layers)
+
+        alone, masks = [], []
+        for utt, row in zip(batch, draws):
+            with Tape() as tape:
+                trace = model.trace(utt.features, mode="train", draws=row[None])
+                masks.append(trace.skip_mask)
+                try:
+                    breakdown = total_loss(trace, utt.labels, spec, model.heads, plan=plan)
+                except InfeasibleTargetError:
+                    alone.append(None)
+                    continue
+                loss = scale(breakdown.total, 1.0 / len(batch))
+            tape.backward(loss)
+            alone.append(breakdown)
+        expect = {name: p.grad.copy() for name, p in params.items()}
+        for p in params.values():
+            p.zero_grad()
+
+        saved = ctclab.trainer.TRAIN_FRAMES
+        ctclab.trainer.TRAIN_FRAMES = budget
+        try:
+            got = step_losses(model, batch, spec, plan, draws)
+            groups = micro_batches([utt.features.shape[0] for utt in batch])
+        finally:
+            ctclab.trainer.TRAIN_FRAMES = saved
+
+        assert [b is None for b in got] == [b is None for b in alone]
+        assert sum(b is None for b in got) == 1  # the skipped count
+        for a, b in zip(alone, got):
+            if a is not None:
+                assert abs(a.total.item() - b.total.item()) < 1e-12
+                assert abs(a.ctc_final - b.ctc_final) < 1e-12
+                assert [pos for pos, _ in a.ctc_intermediate] == \
+                    [pos for pos, _ in b.ctc_intermediate] == [1, 2]
+                for (_, x), (_, y) in zip(a.ctc_intermediate, b.ctc_intermediate):
+                    assert abs(x - y) < 1e-12
+        for name, p in params.items():
+            np.testing.assert_allclose(p.grad, expect[name], rtol=0, atol=1e-12,
+                                       err_msg=name)
+            p.zero_grad()
+        for group in groups:
+            lengths = [batch[i].features.shape[0] for i in group]
+            stack = np.zeros((len(group), max(lengths), 5))
+            for row, i in enumerate(group):
+                stack[row, :lengths[row]] = batch[i].features
+            trace = model.trace(stack, mode="train", lengths=lengths, draws=draws[group])
+            assert trace.skip_mask == [masks[i] for i in group]
 
 
 class TestTapeLifetime:
     def test_utterance_tapes_freed_without_cyclic_collector(self):
         # the 6-layer Conformer with stochastic depth and two intermediate
-        # losses; with the cyclic collector off, reference counting alone
-        # must free each utterance's tape and leave no cycle behind
+        # losses, trained in padded micro-batches; with the cyclic collector
+        # off, reference counting alone must free each micro-batch's tape
+        # and leave no cycle behind
         cfg = RunConfig.parse(
             "model.kind=conformer\nmodel.layers=6\nloss.variant=multiple\n"
             "loss.k=2\ntask.min_label=8\ntask.max_label=18\n"
@@ -254,17 +348,20 @@ class TestTapeLifetime:
         spec = cfg.loss_spec()
         rng = np.random.default_rng(0)
         utterances = generate_dataset(cfg.task, "train")
+        groups = micro_batches([utt.features.shape[0] for utt in utterances])
         gc.collect()
         gc.disable()
         try:
-            for utt in utterances:
+            for _ in range(2):
                 plan = plan_step(spec, cfg.layers, rng)
-                utterance_loss(model, utt, spec, plan, rng, len(utterances))
+                step_losses(model, utterances, spec, plan,
+                            rng.random((len(utterances), cfg.layers)))
             live_tapes = sum(isinstance(o, Tape) for o in gc.get_objects())
             found = gc.collect()
         finally:
             gc.enable()
         assert len(utterances) == 6
+        assert 1 < len(groups) < 6  # several tapes, some padded
         assert live_tapes == 0
         assert found == 0
 
@@ -284,8 +381,7 @@ class TestEvaluate:
         spec = cfg.loss_spec()
         for _ in range(250):
             plan = plan_step(spec, cfg.layers, rng)
-            for utt in data:
-                utterance_loss(model, utt, spec, plan, rng, len(data))
+            step_losses(model, data, spec, plan, rng.random((len(data), cfg.layers)))
             optimizer.apply_gradients(params)
         result = evaluate_model(model, data)
         assert result.rate == 0.0
