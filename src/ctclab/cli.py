@@ -5,24 +5,33 @@ a failed verification suite).
 """
 from __future__ import annotations
 
-import argparse
-import logging
-import sys
-import time
-from pathlib import Path
+import os
 
-import numpy as np
+# One thread for every BLAS and OpenMP pool unless the user chose otherwise,
+# set before numpy loads: the products are small (T x d_model rows), and a
+# second thread mostly waits on, or is slowed by, whatever else the host runs.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from .config import ConfigError, RunConfig
-from .ctc import (
+import argparse  # noqa: E402
+import logging  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from .config import ConfigError, RunConfig  # noqa: E402
+from .ctc import (  # noqa: E402
     CTCHead,
     ctc_loss,
     greedy_decode,
     oracle_trials,
     read_logits_file,
 )
-from .data import generate_dataset
-from .encoder import (
+from .data import generate_dataset  # noqa: E402
+from .encoder import (  # noqa: E402
     Attention,
     ConvModule,
     Encoder,
@@ -35,8 +44,8 @@ from .encoder import (
     _named_tensors,
     self_attention,
 )
-from .tensor import Tensor, add, gradcheck, mul, sum_all, take_frames
-from .trainer import (
+from .tensor import Tensor, add, gradcheck, mul, sum_all, take_frames  # noqa: E402
+from .trainer import (  # noqa: E402
     TrainingDiverged,
     average_checkpoints,
     evaluate,

@@ -3,6 +3,14 @@ enumeration oracle, greedy decoding, and the log-posterior output head.
 
 Token ids live in [1, V]; id 0 is the blank.  A grid is a (T, V+1) array of
 per-frame log-posteriors (each row a log-softmax output).
+
+The forward-backward runs once per utterance and head, with one Python step
+per frame, so its cost is numpy calls per frame.  The alpha and beta
+recursions advance together in one lattice row per frame: the forward
+states after two -inf pads, then, after two more, the lattice reversed in
+time and in state order, on which the backward recursion has the forward
+one's shape.  Four numpy calls advance both halves, and the loss and
+gradient keep the bits of two separate loops (see `ctc_forward_backward`).
 """
 from __future__ import annotations
 
@@ -60,8 +68,21 @@ def ctc_forward_backward(grid: np.ndarray,
     """Negative log-likelihood of `labels` under the grid, plus its gradient
     with respect to the grid entries.
 
-    Runs the forward and backward recursions over the blank-interleaved
-    extended label sequence in the log domain; the gradient comes from the
+    The alpha (forward) and beta (backward) recursions over the
+    blank-interleaved extended label sequence run in the log domain, both in
+    one loop over frames.  Each frame advances one row of width 2S+4: two
+    -inf pads, the S forward states, two -inf pads, then the S states of
+    the lattice reversed in time and in state order.  On that row the
+    backward step has the forward step's shape: a state takes itself, its
+    left neighbour and, where the skip row allows, the state two to its
+    left, then adds its emission.  `pre[t]` holds a frame's row before the
+    emission is added and `post[t]` after it; alpha is the forward half of
+    `post` and beta the reversed half of `pre`, flipped back.
+
+    The bits are those of separate alpha and beta loops: a pad or a
+    disallowed skip enters as logaddexp(x, -inf), which is x exactly (up
+    to the sign of a zero), and the reversed half repeats the beta loop's
+    float operations in the same order.  The gradient comes from the
     per-frame state occupancies exp(alpha + beta - logP).
     """
     arr = _as_grid(grid).astype(np.float64, copy=False)
@@ -77,39 +98,49 @@ def ctc_forward_backward(grid: np.ndarray,
     emit = arr[:, ext]  # (T, S) emission log-probs per lattice state
 
     # skip transition s-2 -> s exists when state s is a label differing from
-    # the label two states back; adding -inf where it does not leaves
-    # logaddexp's other operand exactly as it is
-    skip = np.where((ext[2:] != BLANK) & (ext[2:] != ext[:-2]), 0.0, -np.inf)
+    # the label two states back; adding -inf where it does not (and on the
+    # pads) leaves logaddexp's other operand exactly as it is.  Laid out as
+    # the row: the forward skips, the middle pads, the skips reversed.
+    can_skip = (ext[2:] != BLANK) & (ext[2:] != ext[:-2])
+    skip = np.full(2 * states + 2, -np.inf)
+    skip[2:states][can_skip] = 0.0
+    skip[states + 4:][can_skip[::-1]] = 0.0
+    # emissions along the row (T, 2S+2); -inf on the middle pads keeps them
+    # at -inf in `post`
+    row_emit = np.empty((steps, 2 * states + 2))
+    row_emit[:, :states] = emit
+    row_emit[:, states:states + 2] = -np.inf
+    row_emit[:, states + 2:] = emit[::-1, ::-1]
 
-    alpha = np.full((steps, states), -np.inf)
-    alpha[0, :2] = emit[0, :2]
-    for t in range(1, steps):
-        prev, row = alpha[t - 1], alpha[t]
-        row[0] = prev[0]
-        np.logaddexp(prev[1:], prev[:-1], out=row[1:])
-        np.logaddexp(row[2:], prev[:-2] + skip, out=row[2:])
-        row += emit[t]
+    pre = np.full((steps, 2 * states + 2), -np.inf)
+    post = np.full((steps, 2 * states + 4), -np.inf)
+    pre[0, states + 2:states + 4] = 0.0  # beta at the last frame, reversed
+    np.add(pre[0], row_emit[0], out=post[0, 2:])
+    post[0, 2:2 + min(states, 2)] = emit[0, :2]  # alpha at the first frame
+    # `post` as seen from each position of a `pre` row: the state itself,
+    # its left neighbour and the state two to its left
+    own, left1, left2 = post[:, 2:], post[:, 1:-1], post[:, :-2]
+    tmp = np.empty(2 * states + 2)
+    for prev, prev1, prev2, row, e, out in zip(own, left1, left2, pre[1:],
+                                               row_emit[1:], own[1:]):
+        np.logaddexp(prev, prev1, out=row)
+        np.add(prev2, skip, out=tmp)
+        np.logaddexp(row, tmp, out=row)
+        np.add(row, e, out=out)
 
+    alpha = post[:, 2:states + 2]
+    beta = pre[:, states + 2:][::-1, ::-1]
     log_p = alpha[-1, -1]
     if states > 1:
         log_p = np.logaddexp(log_p, alpha[-1, -2])
     if not np.isfinite(log_p):
         raise InfeasibleTargetError("no feasible alignment (zero likelihood)")
 
-    beta = np.full((steps, states), -np.inf)
-    beta[-1, -2:] = 0.0
-    nxt = np.empty(states)
-    for t in range(steps - 2, -1, -1):
-        np.add(beta[t + 1], emit[t + 1], out=nxt)
-        row = beta[t]
-        row[-1] = nxt[-1]
-        np.logaddexp(nxt[:-1], nxt[1:], out=row[:-1])
-        np.logaddexp(row[:-2], nxt[2:] + skip, out=row[:-2])
-
     occupancy = np.exp(alpha + beta - log_p)  # (T, S)
     dgrid = np.zeros_like(arr)
-    for state, sym in enumerate(ext):  # each state's column, in state order
-        dgrid[:, sym] -= occupancy[:, state]
+    # ufunc.at applies its updates in index order: each state's column, in
+    # state order, as a loop over states would
+    np.subtract.at(dgrid.T, ext, occupancy.T)
     return float(-log_p), dgrid
 
 

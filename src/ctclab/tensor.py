@@ -7,14 +7,13 @@ inputs is a contract violation and raises FloatingPointError.
 
 The primitives here are the few the rest of the program composes: add
 (broadcasting a bias or table over leading axes), mul, scale, take_frames
-(one utterance's frames out of a padded stack) and sum_all, plus matmul,
-which only tests use now.  Each takes a (T, D) array or a (B, T, D) stack
-of them; at rank 2 the arithmetic is that of plain 2-D products.  Larger
-blocks with an analytic backward (the input frontend, the encoder's
-residual sub-blocks and the CTC head, each of which takes a whole
-training micro-batch as one stack) register themselves through
-`record_op` and are one tape entry each; the encoder's share the numpy
-helpers `_sigmoid`, `_norm_forward` and `_norm_backward`.
+(one utterance's frames out of a padded stack) and sum_all.  Each takes a
+(T, D) array or a (B, T, D) stack of them; at rank 2 the arithmetic is that
+of plain 2-D arrays.  Larger blocks with an analytic backward (the input
+frontend, the encoder's residual sub-blocks and the CTC head, each of which
+takes a whole training micro-batch as one stack) register themselves
+through `record_op` and are one tape entry each; the encoder's share the
+numpy helpers `_sigmoid`, `_norm_forward` and `_norm_backward`.
 
 A training step records one tape per micro-batch: a padded stack of
 utterances, forwarded and differentiated together.  An entry may list the
@@ -241,26 +240,11 @@ def scale(x: Tensor, c: float) -> Tensor:
     return _finish(x.data * c, (x,), lambda g: (g * c,))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b for a rank-2 weight `b`; a rank-3 `a` is a stack of rank-2 rows,
-    multiplied as one (-1, K) matrix."""
-    _check_same_dtype(a, b, "matmul")
-    if a.data.ndim not in (2, 3) or b.data.ndim != 2:
-        raise ValueError("matmul expects a rank-2 or rank-3 left operand and a "
-                         "rank-2 right operand")
-    if a.shape[-1] != b.shape[0]:
-        raise ValueError(f"matmul: inner extents differ, {a.shape} @ {b.shape}")
-    rows = a.data.reshape(-1, b.shape[0])
-
-    def bfn(g):
-        return g @ b.data.T, rows.T @ g.reshape(-1, b.shape[1])
-    return _finish((rows @ b.data).reshape(*a.shape[:-1], b.shape[1]), (a, b), bfn)
-
-
 def _sigmoid(v: np.ndarray) -> np.ndarray:
-    # exp of -|v| never overflows; each branch is the piecewise form's
+    # exp of -|v| never overflows; the numerator is 1 where v >= 0 (e <= 1
+    # there) and e elsewhere, so each entry is the piecewise form's
     e = np.exp(-np.abs(v))
-    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.maximum(e, v >= 0) / (1.0 + e)
 
 
 def _norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -44,6 +50,33 @@ def tiny_run(tmp_path_factory):
     config.write_text(TINY_CONFIG)
     assert main(["train", "--config", str(config), "--out", str(out)]) == 0
     return out
+
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def thread_vars_after_import(**preset):
+    """The BLAS and OpenMP thread variables as a fresh interpreter sees them
+    after `import ctclab.cli`, with the six unset but for `preset`."""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env.update(preset)
+    env["PYTHONPATH"] = str(Path(ctclab.cli.__file__).resolve().parents[1])
+    code = ("import json, os, ctclab.cli; "
+            f"print(json.dumps({{k: os.environ.get(k) for k in {THREAD_VARS!r}}}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+class TestBlasThreads:
+    def test_unset_variables_pinned_to_one(self):
+        assert thread_vars_after_import() == {k: "1" for k in THREAD_VARS}
+
+    def test_user_value_kept(self):
+        seen = thread_vars_after_import(OPENBLAS_NUM_THREADS="2")
+        assert seen["OPENBLAS_NUM_THREADS"] == "2"
+        assert all(seen[k] == "1" for k in THREAD_VARS if k != "OPENBLAS_NUM_THREADS")
 
 
 class TestTrain:

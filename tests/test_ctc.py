@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ctclab.ctc import (
     BLANK,
@@ -42,6 +42,52 @@ def enumerate_alignments(labels, steps, vocab):
     for alignment in itertools.product(range(vocab + 1), repeat=steps):
         if collapse(alignment) == tuple(labels):
             yield alignment
+
+
+def two_loop_forward_backward(grid, labels):
+    """Reference: the forward-backward as two loops, alpha forward over
+    frames and then beta backward, each row written in place, and the
+    gradient subtracted one state's column at a time, in state order."""
+    arr = np.asarray(grid, dtype=np.float64)
+    steps = arr.shape[0]
+    labels = tuple(int(t) for t in labels)
+    if steps < required_length(labels):
+        raise InfeasibleTargetError("too few frames")
+    ext = np.zeros(2 * len(labels) + 1, dtype=np.intp)
+    ext[1::2] = labels
+    states = ext.size
+    emit = arr[:, ext]
+    skip = np.where((ext[2:] != BLANK) & (ext[2:] != ext[:-2]), 0.0, -np.inf)
+
+    alpha = np.full((steps, states), -np.inf)
+    alpha[0, :2] = emit[0, :2]
+    for t in range(1, steps):
+        prev, row = alpha[t - 1], alpha[t]
+        row[0] = prev[0]
+        np.logaddexp(prev[1:], prev[:-1], out=row[1:])
+        np.logaddexp(row[2:], prev[:-2] + skip, out=row[2:])
+        row += emit[t]
+    log_p = alpha[-1, -1]
+    if states > 1:
+        log_p = np.logaddexp(log_p, alpha[-1, -2])
+    if not np.isfinite(log_p):
+        raise InfeasibleTargetError("zero likelihood")
+
+    beta = np.full((steps, states), -np.inf)
+    beta[-1, -2:] = 0.0
+    nxt = np.empty(states)
+    for t in range(steps - 2, -1, -1):
+        np.add(beta[t + 1], emit[t + 1], out=nxt)
+        row = beta[t]
+        row[-1] = nxt[-1]
+        np.logaddexp(nxt[:-1], nxt[1:], out=row[:-1])
+        np.logaddexp(row[:-2], nxt[2:] + skip, out=row[:-2])
+
+    occupancy = np.exp(alpha + beta - log_p)
+    dgrid = np.zeros_like(arr)
+    for state, sym in enumerate(ext):
+        dgrid[:, sym] -= occupancy[:, state]
+    return float(-log_p), dgrid
 
 
 class TestCollapse:
@@ -143,6 +189,37 @@ class TestCtcLoss:
         grid = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
         loss, _ = ctc_forward_backward(grid, labels)
         assert loss == pytest.approx(ctc_loss_bruteforce(grid, labels), rel=1e-9, abs=1e-9)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_forward_backward_bits_equal_two_loops(self, data):
+        # the one-row recursion against separate alpha and beta loops, bit
+        # for bit, on feasible and infeasible targets
+        vocab = data.draw(st.integers(1, 6), label="V")
+        size = data.draw(st.integers(0, 20), label="U")
+        labels = data.draw(st.lists(st.integers(1, vocab), min_size=size, max_size=size),
+                           label="labels")
+        need = required_length(labels)
+        steps = data.draw(st.one_of(st.just(need), st.integers(1, 90)), label="T")
+        assume(steps >= 1)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        logits = rng.normal(scale=data.draw(st.sampled_from([0.5, 3.0, 20.0])),
+                            size=(steps, vocab + 1))
+        grid = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+        holes = data.draw(st.sampled_from([0.0, 0.05, 0.3]), label="-inf share")
+        grid[rng.random(grid.shape) < holes] = -np.inf
+        grid = grid.astype(data.draw(st.sampled_from([np.float32, np.float64])))
+        labels = data.draw(st.sampled_from([list, tuple, np.array]))(labels)
+        try:
+            expect_loss, expect_grad = two_loop_forward_backward(grid, labels)
+        except InfeasibleTargetError:
+            with pytest.raises(InfeasibleTargetError):
+                ctc_forward_backward(grid, labels)
+            return
+        loss, dgrid = ctc_forward_backward(grid, labels)
+        assert np.array_equal(loss, expect_loss)
+        assert dgrid.dtype == np.float64
+        assert np.array_equal(dgrid, expect_grad)
 
     def test_occupancy_consistency(self):
         # the grid gradient sums to -expected alignment length... per-frame

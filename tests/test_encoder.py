@@ -18,7 +18,7 @@ from ctclab.encoder import (
     survival_probability,
     transformer_layer,
 )
-from ctclab.tensor import Tape, Tensor, _norm_forward, add, gradcheck, matmul, mul, sum_all
+from ctclab.tensor import Tape, Tensor, _norm_forward, gradcheck, mul, sum_all
 
 
 def tiny_config(kind="transformer", **kw):
@@ -213,9 +213,9 @@ class TestSelfAttention:
         norm, p = layer.att_norm, layer.attention
         x = Tensor(np.random.default_rng(5).normal(size=(1, 8)))
         out = self_attention(x, norm, p, n_heads=2)
-        xn = Tensor(layer_norm(x.data, norm))
-        expect = add(matmul(add(matmul(xn, p.wv), p.bv), p.wo), p.bo)
-        np.testing.assert_allclose(out.data, x.data + expect.data, atol=1e-12)
+        xn = layer_norm(x.data, norm)
+        expect = (xn @ p.wv.data + p.bv.data) @ p.wo.data + p.bo.data
+        np.testing.assert_allclose(out.data, x.data + expect, atol=1e-12)
 
     def test_attention_rows_sum_to_one(self):
         layer = Encoder.build(tiny_config()).layers[0]

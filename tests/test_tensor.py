@@ -15,7 +15,6 @@ from ctclab.tensor import (
     add,
     backward,
     gradcheck,
-    matmul,
     mul,
     record_op,
     scale,
@@ -66,18 +65,6 @@ class TestTensorBasics:
 
 
 class TestForwardExamples:
-    def test_matmul_identity(self):
-        out = matmul(Tensor(np.eye(2)), Tensor([[3.0, 4.0], [5.0, 6.0]]))
-        np.testing.assert_array_equal(out.data, [[3.0, 4.0], [5.0, 6.0]])
-
-    def test_matmul_zero(self):
-        out = matmul(Tensor([[1.0, 2.0]]), Tensor([[0.0], [0.0]]))
-        np.testing.assert_array_equal(out.data, [[0.0]])
-
-    def test_matmul_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
-
     def test_layer_norm_constant_vector(self):
         x = Tensor([5.0, 5.0, 5.0, 5.0])
         out = layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)))
@@ -193,12 +180,6 @@ class TestGradcheck:
         report = gradcheck(lambda: sum_all(mul(p, p)), {"p": p})
         assert report.max_rel_error < 1e-9
 
-    def test_matmul(self):
-        rng = np.random.default_rng(5)
-        a, b = rand_param(rng, 4, 5), rand_param(rng, 5, 3)
-        report = gradcheck(lambda: sum_all(matmul(a, b)), {"a": a, "b": b})
-        assert report.max_rel_error < 1e-6
-
     @pytest.mark.parametrize("name,fn", [
         ("log_softmax", log_softmax),
     ])
@@ -217,16 +198,6 @@ class TestGradcheck:
         report = gradcheck(
             lambda: sum_all(mul(layer_norm(x, gain, bias), w)),
             {"x": x, "gain": gain, "bias": bias})
-        assert report.max_rel_error < 1e-6
-
-    def test_matmul_stacked_rows(self):
-        rng = np.random.default_rng(15)
-        a, b = rand_param(rng, 2, 3, 4), rand_param(rng, 4, 5)
-        out = matmul(a, b)
-        for row, alone in zip(out.data, a.data):
-            np.testing.assert_allclose(row, alone @ b.data, rtol=0, atol=1e-12)
-        w = Tensor(rng.uniform(-1, 1, size=(2, 3, 5)))
-        report = gradcheck(lambda: sum_all(mul(matmul(a, b), w)), {"a": a, "b": b})
         assert report.max_rel_error < 1e-6
 
     def test_add_table_over_stack(self):
