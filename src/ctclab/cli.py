@@ -91,7 +91,7 @@ def _primitive_checks(rng):
             named.update(_named_tensors(container, f"p{index}"))
         return named
 
-    x34, bias = param(3, 4), param(4)
+    x34, y34 = param(3, 4), param(3, 4)
     block_x = Tensor(rng.uniform(-2, 2, size=(2, 3, 4)), requires_grad=True)
     branch_scale = np.array([1.25, 0.5]).reshape(2, 1, 1)
     padding = Padding.of(np.array([3, 2]), 3, np.float64)
@@ -108,7 +108,7 @@ def _primitive_checks(rng):
     head.bias.data[...] = rng.uniform(-1, 1, size=3)
 
     return [
-        ("bias_add", {"x": x34, "bias": bias}, weighted(lambda x: add(x, bias), x34)),
+        ("add", {"x": x34, "y": y34}, weighted(lambda x: add(x, y34), x34)),
         ("frontend", {"x": features, "weight": frontend.frontend_w,
                       "bias": frontend.frontend_b},
          weighted(frontend.input_frontend, features)),
@@ -211,6 +211,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
     worst = oracle_trials(trials=args.trials, seed=args.seed)
     status = "PASS" if worst < ORACLE_TOLERANCE else "FAIL"
     print(f"{status} ctc oracle: {args.trials} trials, "

@@ -409,8 +409,8 @@ class Encoder:
     """Stack of encoder layers over a linear+positional input frontend.
 
     Parameters are read-only during forward; concurrent forwards over
-    different utterances are safe.  The rng drives only the per-call
-    stochastic-depth draws.
+    different utterances are safe.  The stochastic-depth draws come from
+    the caller.
     """
 
     def __init__(self, config: EncoderConfig, frontend_w: Tensor,
@@ -483,9 +483,8 @@ class Encoder:
             return g @ w.data.T, rows.T @ _rows(g), g.sum(axis=lead)
         return record_op(proj + pos, (x0, w, b), bfn)
 
-    def forward(self, x0: Tensor, mode: str = "eval",
-                rng: np.random.Generator | None = None,
-                lengths=None, draws: np.ndarray | None = None) -> LayerTrace:
+    def forward(self, x0: Tensor, mode: str = "eval", lengths=None,
+                draws: np.ndarray | None = None) -> LayerTrace:
         """Run the stack, recording every intermediate representation.
 
         `x0` is one (T, F) utterance or a (B, T, F) stack of utterances
@@ -495,12 +494,11 @@ class Encoder:
         and the conv module the padded frames.
 
         In train mode utterance b keeps layer l when draws[b, l] < p_l.
-        `draws` is a (B, L) array of uniform draws, by default
-        rng.random((B, L)), which for one utterance gives the values of L
-        calls of rng.random().  A kept layer scales its residual branches
-        by 1/p_l and a skipped one by 0, each utterance by its own scale; a
-        layer that no utterance keeps is the identity.  In eval mode
-        nothing is skipped and no scaling applies.
+        `draws` is a (B, L) array of uniform draws, (1, L) for one
+        utterance.  A kept layer scales its residual branches by 1/p_l and
+        a skipped one by 0, each utterance by its own scale; a layer that
+        no utterance keeps is the identity.  In eval mode nothing is
+        skipped, no scaling applies and `draws` is ignored.
         """
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -519,9 +517,7 @@ class Encoder:
             if stacked and lengths is None:
                 raise ValueError("train mode takes a stack only with its lengths")
             if draws is None:
-                if rng is None:
-                    raise ValueError("train mode needs an rng or draws for the skips")
-                draws = rng.random((batch, cfg.num_layers))
+                raise ValueError("train mode needs draws for the skips")
             draws = np.asarray(draws)
             if draws.shape != keep.shape:
                 raise ValueError(f"need {keep.shape} draws, got {draws.shape}")

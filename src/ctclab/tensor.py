@@ -5,15 +5,15 @@ comparisons) and float32 for training and checkpoint storage.  Every op
 checks its output for NaN/Inf; producing a non-finite value from finite
 inputs is a contract violation and raises FloatingPointError.
 
-The primitives here are the few the rest of the program composes: add
-(broadcasting a bias or table over leading axes), mul, scale, take_frames
-(one utterance's frames out of a padded stack) and sum_all.  Each takes a
-(T, D) array or a (B, T, D) stack of them; at rank 2 the arithmetic is that
-of plain 2-D arrays.  Larger blocks with an analytic backward (the input
-frontend, the encoder's residual sub-blocks and the CTC head, each of which
-takes a whole training micro-batch as one stack) register themselves
-through `record_op` and are one tape entry each; the encoder's share the
-numpy helpers `_sigmoid`, `_norm_forward` and `_norm_backward`.
+The primitives here are the few the rest of the program composes: add and
+mul (of two tensors of one shape), scale, take_frames (one utterance's
+frames out of a padded stack) and sum_all.  Each takes a (T, D) array or a
+(B, T, D) stack of them; at rank 2 the arithmetic is that of plain 2-D
+arrays.  Larger blocks with an analytic backward (the input frontend, the
+encoder's residual sub-blocks and the CTC head, each of which takes a whole
+training micro-batch as one stack) register themselves through `record_op`
+and are one tape entry each; the encoder's share the numpy helpers
+`_sigmoid`, `_norm_forward` and `_norm_backward`.
 
 A training step records one tape per micro-batch: a padded stack of
 utterances, forwarded and differentiated together.  An entry may list the
@@ -170,15 +170,6 @@ class Tape:
                 leaf.grad += g
 
 
-def backward(loss: Tensor) -> None:
-    """Backward pass through the tape that recorded `loss`; the tape must
-    still be alive."""
-    tape = loss._tape() if loss._tape is not None else None
-    if tape is None:
-        raise RuntimeError("loss is not attached to any live tape")
-    tape.backward(loss)
-
-
 def _finish(data: np.ndarray, inputs: tuple[Tensor, ...],
             backward_fn: Callable) -> Tensor:
     if not np.isfinite(data).all():
@@ -211,21 +202,12 @@ def _check_same_dtype(a: Tensor, b: Tensor, op: str) -> None:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; `b` may also have the shape of `a`'s trailing axes
-    (a rank-1 bias, or a (T, D) table over a stack of (T, D) rows) and is
-    then broadcast over `a`'s leading axes."""
+    """Elementwise sum of two tensors of one shape and dtype; nothing is
+    broadcast."""
     _check_same_dtype(a, b, "add")
     if a.shape != b.shape:
-        if b.data.ndim >= a.data.ndim or a.shape[-b.data.ndim:] != b.shape:
-            raise ValueError(f"add: incompatible shapes {a.shape} and {b.shape}")
-        lead = tuple(range(a.data.ndim - b.data.ndim))
-
-        def bfn(g):
-            return g, g.sum(axis=lead)
-    else:
-        def bfn(g):
-            return g, g
-    return _finish(a.data + b.data, (a, b), bfn)
+        raise ValueError(f"add: shape mismatch {a.shape} vs {b.shape}")
+    return _finish(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

@@ -88,13 +88,12 @@ class Model:
         named.update(self.heads.parameters())
         return named
 
-    def trace(self, features: np.ndarray, mode: str = "eval",
-              rng: np.random.Generator | None = None, lengths=None,
+    def trace(self, features: np.ndarray, mode: str = "eval", lengths=None,
               draws: np.ndarray | None = None) -> LayerTrace:
-        """Forward (T, F) features or a (B, T, F) stack, as
-        `Encoder.forward` takes them."""
+        """Forward (T, F) features or a (B, T, F) stack, with the lengths
+        and stochastic-depth draws `Encoder.forward` takes."""
         x0 = Tensor(np.asarray(features, dtype=self.encoder.dtype))
-        return self.encoder.forward(x0, mode=mode, rng=rng, lengths=lengths, draws=draws)
+        return self.encoder.forward(x0, mode=mode, lengths=lengths, draws=draws)
 
 
 # --- optimizer ---------------------------------------------------------------
@@ -193,7 +192,8 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     """Parse the layout written by save_checkpoint.  A file that ends early,
-    or runs on past the config echo, raises ValueError."""
+    runs on past the config echo or holds a NaN or infinite weight raises
+    ValueError."""
     blob = Path(path).read_bytes()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: bad checkpoint magic {blob[:4]!r}")
@@ -221,6 +221,8 @@ def load_checkpoint(path) -> Checkpoint:
         arr = np.frombuffer(take(4 * n), dtype="<f4")
         if name in params:
             raise ValueError(f"{path}: duplicate parameter name {name!r}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path}: parameter {name!r} holds a non-finite value")
         params[name] = arr.reshape(shape).copy()
     (echo_len,) = struct.unpack("<I", take(4))
     echo = str(take(echo_len), "utf-8")

@@ -13,7 +13,13 @@ from ctclab.config import RunConfig
 from ctclab.ctc import greedy_decode, write_logits_file
 from ctclab.data import generate_dataset
 from ctclab.tensor import record_op
-from ctclab.trainer import evaluate, load_checkpoint
+from ctclab.trainer import (
+    Model,
+    checkpoint_from_model,
+    evaluate,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 TINY_CONFIG = """
 model.layers=2
@@ -190,6 +196,24 @@ class TestEval:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+class TestNonFiniteCheckpoint:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf],
+                             ids=["nan", "+inf", "-inf"])
+    def test_eval_and_average_reject(self, tmp_path, value, capsys):
+        cfg = RunConfig.parse(TINY_CONFIG)
+        ckpt = checkpoint_from_model(Model.from_run_config(cfg), cfg.to_text())
+        ckpt.params["encoder.layer1.ffn.w1"][2, 3] = value
+        poisoned, out = tmp_path / "poisoned.ckpt", tmp_path / "avg.ckpt"
+        save_checkpoint(poisoned, ckpt)
+        for argv in (["eval", "--checkpoint", str(poisoned)],
+                     ["average", "--inputs", str(poisoned), "--out", str(out)]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "'encoder.layer1.ffn.w1'" in err
+        assert not out.exists()
+
+
 class TestDecode:
     def test_uniform_grid_ties_resolve_to_blank(self, tmp_path, capsys):
         # all rows tie; the lowest id (blank) wins, so the output is empty
@@ -281,6 +305,13 @@ class TestOracleCommand:
         first = capsys.readouterr().out
         assert main(["oracle", "--trials", "50", "--seed", "11"]) == 0
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_no_trials_is_a_usage_error(self, trials, capsys):
+        assert main(["oracle", "--trials", trials]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
 
 
 class TestAverageCommand:

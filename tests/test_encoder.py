@@ -455,7 +455,7 @@ class TestStacked:
         enc = Encoder.build(tiny_config())
         with pytest.raises(ValueError):
             enc.forward(Tensor(np.ones((2, 3, 5))), mode="train",
-                        rng=np.random.default_rng(0))
+                        draws=np.random.default_rng(0).random((2, 2)))
 
 
 class TestForward:
@@ -471,13 +471,16 @@ class TestForward:
         enc = Encoder.build(tiny_config(survival_floor=0.5))
         x = Tensor(np.random.default_rng(8).normal(size=(4, 5)))
         a = enc.forward(x, mode="eval")
-        b = enc.forward(x, mode="eval", rng=np.random.default_rng(123))
+        b = enc.forward(x, mode="eval", draws=np.random.default_rng(123).random((1, 2)))
+        c = enc.forward(x, mode="eval", draws=np.ones((1, 2)))  # would skip every layer
         assert (a.final.data == b.final.data).all()
+        assert (a.final.data == c.final.data).all()
+        assert c.skip_mask == [1, 1]
 
     def test_survival_one_train_equals_eval_bitwise(self):
         enc = Encoder.build(tiny_config(survival_floor=1.0))
         x = Tensor(np.random.default_rng(9).normal(size=(5, 5)))
-        train = enc.forward(x, mode="train", rng=np.random.default_rng(0))
+        train = enc.forward(x, mode="train", draws=np.random.default_rng(0).random((1, 2)))
         ev = enc.forward(x, mode="eval")
         for a, b in zip(train.states, ev.states):
             assert (a.data == b.data).all()
@@ -486,15 +489,15 @@ class TestForward:
     def test_seeded_forward_reproducible(self):
         enc = Encoder.build(tiny_config(num_layers=4, survival_floor=0.5))
         x = Tensor(np.random.default_rng(10).normal(size=(4, 5)))
-        a = enc.forward(x, mode="train", rng=np.random.default_rng(77))
-        b = enc.forward(x, mode="train", rng=np.random.default_rng(77))
+        a = enc.forward(x, mode="train", draws=np.random.default_rng(77).random((1, 4)))
+        b = enc.forward(x, mode="train", draws=np.random.default_rng(77).random((1, 4)))
         assert a.skip_mask == b.skip_mask
         for s, t in zip(a.states, b.states):
             assert (s.data == t.data).all()
 
-    def test_train_mode_requires_rng(self):
+    def test_train_mode_requires_draws(self):
         enc = Encoder.build(tiny_config())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="draws"):
             enc.forward(Tensor(np.ones((3, 5))), mode="train")
 
     def test_skipped_layer_is_identity(self):
@@ -502,7 +505,7 @@ class TestForward:
         # pass its input through unchanged
         enc = Encoder.build(tiny_config(num_layers=6, survival_floor=0.05))
         x = Tensor(np.random.default_rng(11).normal(size=(3, 5)))
-        trace = enc.forward(x, mode="train", rng=np.random.default_rng(3))
+        trace = enc.forward(x, mode="train", draws=np.random.default_rng(3).random((1, 6)))
         assert 0 in trace.skip_mask  # the draw actually skipped something
         prev = enc.input_frontend(x)
         for state, kept in zip(trace.states, trace.skip_mask):

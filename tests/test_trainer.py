@@ -3,6 +3,7 @@ import gc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import ctclab.trainer
 from ctclab.config import RunConfig
@@ -107,6 +108,47 @@ class TestCheckpointFormat:
         ckpt = Checkpoint(1, {"w": np.zeros((2, 2))}, "")
         with pytest.raises(ValueError):
             save_checkpoint(tmp_path / "m.ckpt", ckpt)
+
+
+# any text UTF-8 can encode: every code point but the lone surrogates
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+
+
+@st.composite
+def checkpoints(draw):
+    """Checkpoints of 1-4 finite float32 parameters of rank 0-3 under
+    distinct names, non-ASCII ones included, with a drawn config echo."""
+    names = draw(st.lists(_TEXT, min_size=1, max_size=4, unique=True))
+    params = {}
+    for name in names:
+        shape = draw(array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=4))
+        params[name] = draw(arrays(np.float32, shape, elements=st.floats(
+            width=32, allow_nan=False, allow_infinity=False)))
+    return Checkpoint(1, params, draw(_TEXT))
+
+
+class TestCheckpointProperties:
+    @given(ckpt=checkpoints(), data=st.data())
+    def test_round_trip_and_damage(self, tmp_path_factory, ckpt, data):
+        path = tmp_path_factory.getbasetemp() / "drawn.ckpt"
+        save_checkpoint(path, ckpt)
+        loaded = load_checkpoint(path)
+        assert loaded.version == ckpt.version
+        assert loaded.config_echo == ckpt.config_echo
+        assert list(loaded.params) == list(ckpt.params)
+        for name, arr in ckpt.params.items():
+            assert loaded.params[name].shape == arr.shape
+            assert loaded.params[name].tobytes() == arr.tobytes()
+
+        blob = path.read_bytes()
+        cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ValueError):
+            load_checkpoint(path)
+        suffix = data.draw(st.binary(min_size=1, max_size=16), label="suffix")
+        path.write_bytes(blob + suffix)
+        with pytest.raises(ValueError):
+            load_checkpoint(path)
 
 
 class TestAveraging:
