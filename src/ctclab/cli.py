@@ -44,7 +44,7 @@ from .encoder import (  # noqa: E402
     _named_tensors,
     self_attention,
 )
-from .tensor import Tensor, add, gradcheck, mul, sum_all, take_frames  # noqa: E402
+from .tensor import Tensor, add, gradcheck, mul, put_rows, sum_all, take  # noqa: E402
 from .trainer import (  # noqa: E402
     TrainingDiverged,
     average_checkpoints,
@@ -71,9 +71,9 @@ class _Parser(argparse.ArgumentParser):
 # --- gradcheck battery --------------------------------------------------------
 
 def _primitive_checks(rng):
-    """Each primitive and fused entry against central differences.  The
-    residual blocks run on a padded (2, 3, 4) stack whose second row is 2
-    frames long, each row with its own branch scale, as in training."""
+    """Each primitive and fused entry against central differences, the
+    residual blocks on a padded (2, 3, 4) stack whose second row is 2 frames
+    long, and `kept_rows` on that row alone, put back in place."""
     def param(*shape):
         return Tensor(rng.uniform(-1, 1, size=shape), requires_grad=True)
 
@@ -93,7 +93,7 @@ def _primitive_checks(rng):
 
     x34, y34 = param(3, 4), param(3, 4)
     block_x = Tensor(rng.uniform(-2, 2, size=(2, 3, 4)), requires_grad=True)
-    branch_scale = np.array([1.25, 0.5]).reshape(2, 1, 1)
+    branch_scale, rows = 1.25, np.array([1])
     padding = Padding.of(np.array([3, 2]), 3, np.float64)
     att_norm, att = norm(), Attention(param(4, 4), param(4), param(4, 4), param(4),
                                       param(4, 4), param(4), param(4, 4), param(4))
@@ -124,8 +124,12 @@ def _primitive_checks(rng):
         ("conv_module", block_params(conv_norm, conv),
          weighted(lambda x: _conv_module(x, conv_norm, conv, branch_scale, padding),
                   block_x)),
+        ("kept_rows", block_params(att_norm, att),
+         weighted(lambda x: put_rows(x, rows, self_attention(
+             take(x, rows), att_norm, att, 2, branch_scale,
+             Padding.of(np.array([2]), 3, np.float64))), block_x)),
         ("head_ctc", {"x": block_x, "weight": head.weight, "bias": head.bias},
-         lambda: ctc_loss(take_frames(head(block_x), 1, 2), (1, 2))),
+         lambda: ctc_loss(take(head(block_x), (1, slice(2))), (1, 2))),
     ]
 
 

@@ -131,10 +131,10 @@ class RunConfig:
             raise ConfigError(str(err)) from None
         if cfg.epochs < 0 or cfg.batch_size < 1 or cfg.average_last < 1:
             raise ConfigError("train.* values out of range")
-        for key, size in (("task.train_size", cfg.task.train_size),
-                          ("task.dev_size", cfg.task.dev_size)):
+        for split in ("train", "dev", "test"):
+            size = getattr(cfg.task, f"{split}_size")
             if size < 1:
-                raise ConfigError(f"{key} must be at least 1, got {size}")
+                raise ConfigError(f"task.{split}_size must be at least 1, got {size}")
         return cfg
 
     @classmethod

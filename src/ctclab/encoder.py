@@ -3,10 +3,10 @@
 Both layer kinds are pre-norm: each residual branch normalizes its input
 before the sub-block, and the raw input rides the skip connection.  During
 training a Bernoulli draw per utterance and layer keeps or skips the whole
-layer (stochastic depth, Huang et al. 2016): each residual branch is scaled
-by a per-utterance keep scale, 1/p_l for a kept layer, so the expectation
-matches the no-skip forward, and 0 for a skipped one.  Evaluation never
-skips.
+layer (stochastic depth, Huang et al. 2016).  `Encoder.forward` runs each
+layer on the rows that keep it, its residual branches scaled by 1/p_l so
+that the expectation matches the no-skip forward, and passes the other
+rows through at no cost.  Evaluation never skips and scales by 1.
 
 Every residual sub-block is one tape entry (`record_op`) holding its
 pre-norm, the block and the residual add x + c * block: multi-head
@@ -38,7 +38,9 @@ from .tensor import (
     _norm_backward,
     _norm_forward,
     _sigmoid,
+    put_rows,
     record_op,
+    take,
 )
 
 LAYER_KINDS = ("transformer", "conformer")
@@ -204,12 +206,11 @@ class Padding:
 
 
 def self_attention(x: Tensor, norm: Norm, p: Attention, n_heads: int,
-                   branch_scale=1.0, padding: Padding | None = None,
+                   branch_scale: float = 1.0, padding: Padding | None = None,
                    return_weights: bool = False):
     """Residual pre-norm multi-head attention, x + c * attention(norm(x)),
-    recorded as one tape entry.  `x` is (T, D) or a (B, T, D) stack; `c`
-    is `branch_scale`, a float or, in training, a (B, 1, 1) array of
-    per-utterance keep scales.  Each query attends to every key of its own
+    recorded as one tape entry.  `x` is (T, D) or a (B, T, D) stack and
+    `c` is `branch_scale`.  Each query attends to every key of its own
     utterance, except the padded keys that `padding` marks.
 
     The heads run as batched (..., H, T, d_h) products and the softmax
@@ -272,13 +273,11 @@ def self_attention(x: Tensor, norm: Norm, p: Attention, n_heads: int,
 
 
 def _feed_forward(x: Tensor, norm: Norm, p: FeedForward, activation: str,
-                  branch_scale=1.0, out_norm: Norm | None = None) -> Tensor:
+                  branch_scale: float = 1.0, out_norm: Norm | None = None) -> Tensor:
     """Residual pre-norm position-wise feed-forward, x + c * ffn(norm(x))
     with a relu or swish between its two layers, and then `out_norm` if
     given (the Conformer's output norm), recorded as one tape entry with an
-    analytic backward.  `c` is `branch_scale`, as for `self_attention`.
-    The output norm is part of the layer, not of its branch, so the rows of
-    an utterance whose scale is 0, one that skips the layer, bypass it."""
+    analytic backward.  `c` is `branch_scale`, as for `self_attention`."""
     if activation not in ("relu", "swish"):
         raise ValueError(f"unknown activation {activation!r}")
     xn, xhat, inv = _norm(_rows(x.data), norm)
@@ -286,23 +285,15 @@ def _feed_forward(x: Tensor, norm: Norm, p: FeedForward, activation: str,
     s = _sigmoid(h) if activation == "swish" else None
     a = np.maximum(h, 0.0) if s is None else h * s
     y = x.data + (a @ p.w2.data + p.b2.data).reshape(x.shape) * branch_scale
-    skips = None
     if out_norm is not None:
-        normed, yhat, yinv = _norm(_rows(y), out_norm)
-        normed = normed.reshape(x.shape)
-        if np.ndim(branch_scale) and not np.all(branch_scale):
-            skips = branch_scale == 0
-            normed = np.where(skips, y, normed)
-        y = normed
+        y, yhat, yinv = _norm(_rows(y), out_norm)
+        y = y.reshape(x.shape)
 
     def bfn(g):
         tail = ()
         if out_norm is not None:
-            gn = g if skips is None else np.where(skips, 0.0, g)
-            dy, dogain, dobias = _norm_backward(_rows(gn), out_norm.gain.data, yhat, yinv)
-            dy = dy.reshape(x.shape)
-            g = dy if skips is None else np.where(skips, g, dy)
-            tail = (dogain, dobias)
+            g, *tail = _norm_backward(_rows(g), out_norm.gain.data, yhat, yinv)
+            g = g.reshape(x.shape)
         gb = _rows(g * branch_scale)
         da = gb @ p.w2.data.T
         dh = da * (h > 0) if s is None else da * (s + a * (1.0 - s))
@@ -315,7 +306,7 @@ def _feed_forward(x: Tensor, norm: Norm, p: FeedForward, activation: str,
     return record_op(y, inputs, bfn)
 
 
-def _conv_module(x: Tensor, norm: Norm, p: ConvModule, branch_scale=1.0,
+def _conv_module(x: Tensor, norm: Norm, p: ConvModule, branch_scale: float = 1.0,
                  padding: Padding | None = None) -> Tensor:
     """Residual pre-norm Conformer convolution module, x + c * conv(norm(x)),
     recorded as one tape entry: pointwise expansion x2 -> GLU -> depthwise
@@ -495,10 +486,11 @@ class Encoder:
 
         In train mode utterance b keeps layer l when draws[b, l] < p_l.
         `draws` is a (B, L) array of uniform draws, (1, L) for one
-        utterance.  A kept layer scales its residual branches by 1/p_l and
-        a skipped one by 0, each utterance by its own scale; a layer that
-        no utterance keeps is the identity.  In eval mode nothing is
-        skipped, no scaling applies and `draws` is ignored.
+        utterance.  A layer that every row keeps runs on the whole stack and
+        one that no row keeps is the identity; any other runs on the rows
+        that keep it, taken out with their own padding and put back.  A
+        kept layer scales its residual branches by 1/p_l.  In eval mode
+        nothing is skipped, the scale is 1 and `draws` is ignored.
         """
         if mode not in ("train", "eval"):
             raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -513,6 +505,7 @@ class Encoder:
                                  f"{batch} rows of {steps} frames")
             padding = Padding.of(lengths, steps, self.dtype)
         keep = np.ones((batch, cfg.num_layers), dtype=bool)
+        scales = [1.0] * cfg.num_layers
         if mode == "train":
             if stacked and lengths is None:
                 raise ValueError("train mode takes a stack only with its lengths")
@@ -521,19 +514,21 @@ class Encoder:
             draws = np.asarray(draws)
             if draws.shape != keep.shape:
                 raise ValueError(f"need {keep.shape} draws, got {draws.shape}")
-            probs = np.array([survival_probability(l, cfg.num_layers, cfg.survival_floor)
-                              for l in range(1, cfg.num_layers + 1)])
+            probs = [survival_probability(l, cfg.num_layers, cfg.survival_floor)
+                     for l in range(1, cfg.num_layers + 1)]
             keep = draws < probs
-            # layer l's scales as a (B, 1, 1) array, or (1, 1) for one utterance
-            scales = (keep / probs).T.astype(self.dtype).reshape(
-                cfg.num_layers, batch, *(1,) * (x0.data.ndim - 1))
+            scales = [1.0 / p for p in probs]
         apply_layer = transformer_layer if cfg.kind == "transformer" else conformer_layer
         x = self.input_frontend(x0)
         states: list[Tensor] = []
         for index, params in enumerate(self.layers):
-            if keep[:, index].any():
-                branch_scale = scales[index] if mode == "train" else 1.0
-                x = apply_layer(x, params, cfg.n_heads, branch_scale, padding)
+            rows = np.flatnonzero(keep[:, index])
+            if len(rows) == batch:
+                x = apply_layer(x, params, cfg.n_heads, scales[index], padding)
+            elif len(rows):
+                kept = apply_layer(take(x, rows), params, cfg.n_heads, scales[index],
+                                   Padding.of(lengths[rows], steps, self.dtype))
+                x = put_rows(x, rows, kept)
             states.append(x)
         mask = keep.astype(int).tolist()
         return LayerTrace(states, mask if stacked else mask[0])

@@ -15,7 +15,7 @@ import numpy as np
 
 from .ctc import CTCHead, InfeasibleTargetError, ctc_loss, greedy_decode
 from .encoder import LayerTrace
-from .tensor import Tensor, add, scale, take_frames
+from .tensor import Tensor, add, scale, take
 
 VARIANTS = ("none", "middle", "lower", "multiple", "random", "stochastic")
 
@@ -155,10 +155,10 @@ def stack_losses(trace: LayerTrace, lengths: Sequence[int],
     inter = [(pos, heads.intermediate(trace.states[pos - 1])) for pos in plan.positions]
     losses: list[LossBreakdown | None] = []
     for row, (length, target) in enumerate(zip(lengths, labels)):
+        frames = (row, slice(length))
         try:
-            losses.append(_mix(take_frames(final, row, length),
-                               [(pos, take_frames(grid, row, length))
-                                for pos, grid in inter],
+            losses.append(_mix(take(final, frames),
+                               [(pos, take(grid, frames)) for pos, grid in inter],
                                target, spec, plan))
         except InfeasibleTargetError:
             losses.append(None)

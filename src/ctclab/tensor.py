@@ -6,8 +6,9 @@ checks its output for NaN/Inf; producing a non-finite value from finite
 inputs is a contract violation and raises FloatingPointError.
 
 The primitives here are the few the rest of the program composes: add and
-mul (of two tensors of one shape), scale, take_frames (one utterance's
-frames out of a padded stack) and sum_all.  Each takes a (T, D) array or a
+mul (of two tensors of one shape), scale, take (an indexed part, such as
+one utterance's frames or some rows of a stack), put_rows (a stack with
+some rows replaced) and sum_all.  Each takes a (T, D) array or a
 (B, T, D) stack of them; at rank 2 the arithmetic is that of plain 2-D
 arrays.  Larger blocks with an analytic backward (the input frontend, the
 encoder's residual sub-blocks and the CTC head, each of which takes a whole
@@ -79,10 +80,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -252,17 +249,26 @@ def _norm_backward(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray,
     return dx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
 
 
-def take_frames(x: Tensor, row: int, length: int) -> Tensor:
-    """The first `length` positions of row `row` of a (B, T, D) stack, as a
-    (length, D) tensor."""
-    if x.data.ndim != 3 or not (0 <= row < x.shape[0] and 1 <= length <= x.shape[1]):
-        raise ValueError(f"take_frames: no row {row} of length {length} in {x.shape}")
-
+def take(x: Tensor, index) -> Tensor:
+    """`x.data[index]`, such as one row's first frames, (row, slice(length)),
+    or some rows of a stack; `index` may select each element only once."""
     def bfn(g):
         d = np.zeros_like(x.data)
-        d[row, :length] = g
+        d[index] = g
         return (d,)
-    return _finish(x.data[row, :length], (x,), bfn)
+    return _finish(x.data[index], (x,), bfn)
+
+
+def put_rows(x: Tensor, rows: np.ndarray, y: Tensor) -> Tensor:
+    """`x` with its rows `rows`, distinct indices, replaced by those of `y`."""
+    out = x.data.copy()
+    out[rows] = y.data
+
+    def bfn(g):
+        gx = g.copy()
+        gx[rows] = 0.0
+        return gx, g[rows]
+    return _finish(out, (x, y), bfn)
 
 
 def sum_all(x: Tensor) -> Tensor:

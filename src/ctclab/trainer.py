@@ -103,26 +103,18 @@ class OptimizerState:
     step: int
     first_moment: dict[str, np.ndarray]
     second_moment: dict[str, np.ndarray]
-    peak_rate: float
-    warmup_steps: int
     d_model: int
 
     @classmethod
-    def init(cls, params: dict[str, Tensor], d_model: int,
-             peak_rate: float | None = None,
-             warmup_steps: int | None = None) -> "OptimizerState":
-        if peak_rate is None:
-            peak_rate = PEAK_LR_FACTOR
-        if warmup_steps is None:
-            warmup_steps = WARMUP_STEPS
+    def init(cls, params: dict[str, Tensor], d_model: int) -> "OptimizerState":
         return cls(step=0,
                    first_moment={k: np.zeros_like(p.data) for k, p in params.items()},
                    second_moment={k: np.zeros_like(p.data) for k, p in params.items()},
-                   peak_rate=peak_rate, warmup_steps=warmup_steps, d_model=d_model)
+                   d_model=d_model)
 
     def learning_rate(self, step: int) -> float:
-        return (self.peak_rate * self.d_model ** -0.5
-                * min(step ** -0.5, step * self.warmup_steps ** -1.5))
+        return (PEAK_LR_FACTOR * self.d_model ** -0.5
+                * min(step ** -0.5, step * WARMUP_STEPS ** -1.5))
 
     def apply_gradients(self, params: dict[str, Tensor]) -> None:
         """One Adam update from the accumulated grads, which are then reset."""

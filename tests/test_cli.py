@@ -271,7 +271,7 @@ class TestGradcheckCommand:
         assert main(["gradcheck", "--scale", "small"]) == 0
         assert time.perf_counter() - start < 10.0
         out = capsys.readouterr().out
-        assert "8/8 passed" in out
+        assert "9/9 passed" in out
         assert "FAIL" not in out
 
     def test_report_lists_per_parameter_errors(self, capsys):

@@ -140,6 +140,8 @@ class TestParsing:
         ("task.train_size=0", "task.train_size"),
         ("task.train_size=-3", "task.train_size"),
         ("task.dev_size=0", "task.dev_size"),
+        ("task.test_size=0", "task.test_size"),
+        ("task.test_size=-3", "task.test_size"),
     ])
     def test_values_that_crash_hang_or_mislead_are_rejected(self, text, named):
         with pytest.raises(ConfigError, match=named):
@@ -222,9 +224,9 @@ def config_texts(draw):
         "task.min_duration": min_duration,
         "task.max_duration": max_duration,
         "task.sigma": draw(st.floats(0.0, 1e6)),
-        "task.train_size": draw(st.integers(0, 10_000)),
-        "task.dev_size": draw(st.integers(0, 1000)),
-        "task.test_size": draw(st.integers(0, 1000)),
+        "task.train_size": draw(st.integers(1, 10_000)),
+        "task.dev_size": draw(st.integers(1, 1000)),
+        "task.test_size": draw(st.integers(1, 1000)),
         "task.seed": draw(st.integers(0, 2**63 - 1)),
         "train.epochs": draw(st.integers(0, 100)),
         "train.batch": draw(st.integers(1, 128)),

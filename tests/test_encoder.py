@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ctclab.encoder
 from ctclab.ctc import CTCHead, ctc_loss
 from ctclab.encoder import (
     Attention,
@@ -456,6 +457,63 @@ class TestStacked:
         with pytest.raises(ValueError):
             enc.forward(Tensor(np.ones((2, 3, 5))), mode="train",
                         draws=np.random.default_rng(0).random((2, 2)))
+
+
+class TestKeptRows:
+    """A train stack runs each layer on the rows that keep it; the others
+    carry their input through."""
+
+    # p_l = 5/6, 2/3, 1/2: a draw of 0 keeps a layer, 0.99 skips it
+    DRAWS = np.array([[0.0, 0.99, 0.0], [0.99, 0.0, 0.0], [0.0, 0.0, 0.99]])
+    LENGTHS = [6, 4, 5]
+
+    def forward(self, kind):
+        enc = Encoder.build(tiny_config(kind, num_layers=3, survival_floor=0.5))
+        rng = np.random.default_rng(22)
+        for t in enc.parameters().values():
+            t.data[...] = rng.uniform(-1, 1, size=t.shape)
+        feats = np.zeros((3, 6, 5))
+        for row, length in enumerate(self.LENGTHS):
+            feats[row, :length] = rng.normal(size=(length, 5))
+        trace = enc.forward(Tensor(feats), mode="train", lengths=self.LENGTHS,
+                            draws=self.DRAWS)
+        return enc, feats, trace
+
+    @pytest.mark.parametrize("kind", ["transformer", "conformer"])
+    def test_skipping_row_carries_its_input(self, kind):
+        enc, feats, trace = self.forward(kind)
+        assert trace.skip_mask == (self.DRAWS == 0.0).astype(int).tolist()
+        prev = enc.input_frontend(Tensor(feats)).data
+        for state, keeps in zip(trace.states, (self.DRAWS == 0.0).T):
+            assert 0 < keeps.sum() < 3
+            for row in np.flatnonzero(~keeps):
+                assert np.array_equal(state.data[row], prev[row])
+            prev = state.data
+        for row, length in enumerate(self.LENGTHS):
+            alone = enc.forward(Tensor(feats[row, :length]), mode="train",
+                                draws=self.DRAWS[row:row + 1])
+            for s, a in zip(trace.states, alone.states):
+                np.testing.assert_allclose(s.data[row, :length], a.data,
+                                           rtol=0, atol=1e-12)
+
+    def test_layer_runs_on_the_keeping_rows_alone(self, monkeypatch):
+        rows_seen = []
+
+        def counting_layer(x, *args):
+            rows_seen.append(x.shape[0])
+            return transformer_layer(x, *args)
+        monkeypatch.setattr(ctclab.encoder, "transformer_layer", counting_layer)
+        self.forward("transformer")
+        assert rows_seen == [2, 2, 2]
+
+    def test_layer_no_row_keeps_is_the_same_tensor(self):
+        enc = Encoder.build(tiny_config(num_layers=3, survival_floor=0.5))
+        x = Tensor(np.random.default_rng(23).normal(size=(2, 4, 5)))
+        trace = enc.forward(x, mode="train", lengths=[4, 3],
+                            draws=np.array([[0.0, 0.99, 0.0], [0.0, 0.99, 0.0]]))
+        assert trace.skip_mask == [[1, 0, 1], [1, 0, 1]]
+        assert trace.states[1] is trace.states[0]
+        assert trace.states[2] is not trace.states[1]
 
 
 class TestForward:

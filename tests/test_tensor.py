@@ -15,9 +15,11 @@ from ctclab.tensor import (
     add,
     gradcheck,
     mul,
+    put_rows,
     record_op,
     scale,
     sum_all,
+    take,
 )
 
 
@@ -95,6 +97,15 @@ class TestForwardExamples:
         a = log_softmax(layer_norm(Tensor(x), Tensor(np.ones(6)), Tensor(np.zeros(6))))
         b = log_softmax(layer_norm(Tensor(x), Tensor(np.ones(6)), Tensor(np.zeros(6))))
         assert (a.data == b.data).all()
+
+    def test_put_rows_replaces_only_its_rows(self):
+        rng = np.random.default_rng(14)
+        x, y = Tensor(rng.normal(size=(3, 2, 4))), Tensor(rng.normal(size=(2, 2, 4)))
+        rows = np.array([2, 0])
+        out = put_rows(x, rows, y).data
+        assert (out[2] == y.data[0]).all() and (out[0] == y.data[1]).all()
+        assert (out[1] == x.data[1]).all()
+        assert (put_rows(x, rows, take(x, rows)).data == x.data).all()
 
 
 class TestBackward:
@@ -223,6 +234,31 @@ class TestGradcheck:
         rng = np.random.default_rng(10)
         x = rand_param(rng, 5, 5)
         report = gradcheck(lambda: sum_all(scale(mul(x, x), 0.37)), {"x": x})
+        assert report.max_rel_error < 1e-6
+
+    @pytest.mark.parametrize("index", [np.array([2, 0]), (1, slice(3))],
+                             ids=["rows", "row_frames"])
+    def test_take(self, index):
+        rng = np.random.default_rng(12)
+        x = rand_param(rng, 3, 4, 5)
+        w = Tensor(rng.uniform(-1, 1, size=x.data[index].shape))
+
+        def f():
+            part = take(x, index)
+            return sum_all(mul(mul(part, part), w))
+        report = gradcheck(f, {"x": x})
+        assert report.max_rel_error < 1e-6
+
+    def test_put_rows(self):
+        rng = np.random.default_rng(13)
+        x, y = rand_param(rng, 3, 4, 5), rand_param(rng, 2, 4, 5)
+        rows = np.array([2, 0])
+        w = Tensor(rng.uniform(-1, 1, size=(3, 4, 5)))
+
+        def f():
+            out = put_rows(x, rows, y)
+            return sum_all(mul(mul(out, out), w))
+        report = gradcheck(f, {"x": x, "y": y})
         assert report.max_rel_error < 1e-6
 
     def test_random_trials_all_primitives(self):

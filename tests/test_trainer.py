@@ -409,7 +409,9 @@ class TestTapeLifetime:
 
 
 class TestEvaluate:
-    def test_overfit_tiny_model_reaches_zero_error(self):
+    def test_overfit_tiny_model_reaches_zero_error(self, monkeypatch):
+        monkeypatch.setattr(ctclab.trainer, "PEAK_LR_FACTOR", 0.5)
+        monkeypatch.setattr(ctclab.trainer, "WARMUP_STEPS", 100)
         cfg = RunConfig.parse(
             "model.layers=2\nmodel.d_model=32\nmodel.heads=2\nmodel.d_ff=64\n"
             "model.p_last=1.0\nloss.variant=none\ntask.vocab=3\ntask.dim=8\n"
@@ -417,8 +419,7 @@ class TestEvaluate:
         data = generate_dataset(cfg.task, "train")
         model = Model.from_run_config(cfg)
         params = model.parameters()
-        optimizer = OptimizerState.init(params, cfg.d_model,
-                                        peak_rate=0.5, warmup_steps=100)
+        optimizer = OptimizerState.init(params, cfg.d_model)
         rng = np.random.default_rng(0)
         spec = cfg.loss_spec()
         for _ in range(250):
