@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import Tensor, record_op
+from .tensor import Tensor, _row_max, record_op
 
 BLANK = 0
 
@@ -180,10 +180,22 @@ def ctc_loss_bruteforce(grid, labels: Sequence[int],
     return -math.log(total) if total > 0.0 else math.inf
 
 
-def greedy_decode(grid) -> tuple[int, ...]:
-    """Per-frame argmax followed by collapse; ties go to the lowest id."""
-    arr = _as_grid(grid)
-    return collapse(np.argmax(arr, axis=1))
+def greedy_decode(grid) -> tuple[int, ...] | list[tuple[int, ...]]:
+    """Per-frame argmax followed by collapse; ties go to the lowest id.
+
+    A (T, V+1) grid gives its decode; a (B, T, V+1) stack gives one decode
+    per row, from one argmax over the stack: a frame's symbol is kept
+    where it is not the blank and differs from the frame before it."""
+    arr = grid.data if isinstance(grid, Tensor) else np.asarray(grid, dtype=np.float64)
+    if arr.ndim not in (2, 3) or arr.shape[-1] < 2:
+        raise ValueError(f"grid must be (T, V+1) or (B, T, V+1), got shape {arr.shape}")
+    best = np.argmax(arr.reshape(-1, *arr.shape[-2:]), axis=-1)
+    keep = best != BLANK
+    keep[:, 1:] &= best[:, 1:] != best[:, :-1]
+    tokens = best[keep].tolist()
+    ends = np.cumsum(keep.sum(axis=1)).tolist()
+    rows = [tuple(tokens[start:end]) for start, end in zip([0] + ends, ends)]
+    return rows if arr.ndim == 3 else rows[0]
 
 
 class CTCHead:
@@ -216,7 +228,7 @@ class CTCHead:
         rows = x.data.reshape(-1, w.shape[0])
         lead = tuple(range(x.data.ndim - 1))
         z = (rows @ w).reshape(*x.shape[:-1], w.shape[1]) + b
-        shifted = z - z.max(axis=-1, keepdims=True)
+        shifted = z - _row_max(z)
         y = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
         def bfn(g):

@@ -37,6 +37,7 @@ from .tensor import (
     Tensor,
     _norm_backward,
     _norm_forward,
+    _row_max,
     _sigmoid,
     put_rows,
     record_op,
@@ -245,7 +246,7 @@ def self_attention(x: Tensor, norm: Norm, p: Attention, n_heads: int,
     attn *= c
     if padding is not None:
         attn += padding.keys
-    attn -= attn.max(axis=-1, keepdims=True)
+    attn -= _row_max(attn)
     np.exp(attn, out=attn)
     attn /= attn.sum(axis=-1, keepdims=True)
     context = merge(attn @ v)

@@ -196,4 +196,4 @@ def eval_decode(trace: LayerTrace, heads: CTCHeads) -> list[tuple[int, ...]]:
     the final representation only; intermediate heads play no part at test
     time."""
     log_post = heads.final(trace.final).data
-    return [greedy_decode(grid) for grid in log_post.reshape(-1, *log_post.shape[-2:])]
+    return greedy_decode(log_post.reshape(-1, *log_post.shape[-2:]))

@@ -14,7 +14,8 @@ arrays.  Larger blocks with an analytic backward (the input frontend, the
 encoder's residual sub-blocks and the CTC head, each of which takes a whole
 training micro-batch as one stack) register themselves through `record_op`
 and are one tape entry each; the encoder's share the numpy helpers
-`_sigmoid`, `_norm_forward` and `_norm_backward`.
+`_sigmoid`, `_norm_forward` and `_norm_backward`, and the softmaxes of
+attention and the CTC head share `_row_max`.
 
 A training step records one tape per micro-batch: a padded stack of
 utterances, forwarded and differentiated together.  An entry may list the
@@ -224,6 +225,19 @@ def _sigmoid(v: np.ndarray) -> np.ndarray:
     # there) and e elsewhere, so each entry is the piecewise form's
     e = np.exp(-np.abs(v))
     return np.maximum(e, v >= 0) / (1.0 + e)
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """`a.max(axis=-1, keepdims=True)`, bit for bit.  numpy pays a fixed
+    cost per row to reduce along the last axis, which dominates on the
+    short rows of a softmax (15 scores, 6 symbols), so the rows become the
+    columns of one contiguous copy and are reduced together, element by
+    element.  Both forms pick the same value, but of a 0.0 and a -0.0 each
+    may keep either, so a maximum of zero takes numpy's own reduction."""
+    m = np.ascontiguousarray(a.reshape(-1, a.shape[-1]).T).max(axis=0)
+    if not m.all():
+        return a.max(axis=-1, keepdims=True)
+    return m.reshape(*a.shape[:-1], 1)
 
 
 def _norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,

@@ -13,8 +13,8 @@ stack with one tape and one backward, through which every utterance adds
 1/batch of its gradient before the step's one Adam update; each CTC loss
 is still computed on its own utterance's unpadded grid.  Evaluation has no
 tape and no draws: it groups utterances by length and forwards each group
-in (B, T, F) stacks of at most EVAL_STACK, so no utterance is padded, then
-greedy-decodes each row.
+in (B, T, F) stacks of at most EVAL_STACK, so no utterance is padded, and
+greedy-decodes each stack with one argmax.
 """
 from __future__ import annotations
 

@@ -282,6 +282,33 @@ class TestGreedyDecode:
     def test_tie_breaks_to_lowest_id(self):
         assert greedy_decode(uniform_grid(2, 1)) == ()
 
+    @given(st.data())
+    def test_stack_rows_match_collapse_of_argmax(self, data):
+        rows, steps, vocab = (data.draw(st.integers(1, 5)), data.draw(st.integers(1, 9)),
+                              data.draw(st.integers(1, 4)))
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+        # integer-valued log-probs tie often; all-blank rows put the blank on top
+        values = data.draw(st.lists(st.integers(-3, 0), min_size=rows * steps * (vocab + 1),
+                                    max_size=rows * steps * (vocab + 1)))
+        stack = np.array(values, dtype=dtype).reshape(rows, steps, vocab + 1)
+        blank_rows = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+        stack[np.array(blank_rows), :, BLANK] = 1.0
+        decodes = greedy_decode(stack)
+        assert decodes == [collapse(np.argmax(grid, axis=1)) for grid in stack]
+        assert all(decodes[b] == () for b in range(rows) if blank_rows[b])
+
+    @pytest.mark.parametrize("rows,steps", [(1, 1), (1, 7), (4, 1), (6, 12)])
+    def test_stack_edge_shapes(self, rows, steps):
+        rng = np.random.default_rng(12)
+        stack = np.stack([random_grid(rng, steps, 3) for _ in range(rows)])
+        assert greedy_decode(stack) == [greedy_decode(grid) for grid in stack]
+        assert greedy_decode(stack[0]) == collapse(np.argmax(stack[0], axis=1))
+
+    def test_rejects_other_ranks(self):
+        for shape in [(6,), (2, 2, 3, 4), (3, 1)]:
+            with pytest.raises(ValueError):
+                greedy_decode(np.zeros(shape))
+
 
 class TestCtcHead:
     def test_zero_weights_give_uniform_rows(self):

@@ -70,6 +70,26 @@ class TestEditDistance:
             for hyp in seqs:
                 assert edit_distance(ref, hyp) == oracle_distance(ref, hyp)
 
+    @given(st.data())
+    def test_long_sequences_match_oracle(self, data):
+        # lengths drawn first, so that many pass one 64-bit word of the
+        # bit-parallel column
+        symbols = st.integers(1, data.draw(st.integers(1, 4)))
+        ref, hyp = (tuple(data.draw(st.lists(symbols, min_size=n, max_size=n)))
+                    for n in (data.draw(st.integers(0, 90)), data.draw(st.integers(0, 90))))
+        assert edit_distance(ref, hyp) == oracle_distance(ref, hyp)
+        oracle_distance.cache_clear()  # long pairs would hold ~1 MB each
+
+    def test_string_and_tuple_tokens(self):
+        rng = np.random.default_rng(3)
+        for table in (["a", "bc", "", "d e"], [(1,), (1, 2), ("x", 0), ()]):
+            for _ in range(100):
+                ref = tuple(rng.integers(0, 4, size=rng.integers(0, 70)))
+                hyp = tuple(rng.integers(0, 4, size=rng.integers(0, 70)))
+                tokens = ([table[t] for t in ref], [table[t] for t in hyp])
+                assert edit_distance(*tokens) == oracle_distance(ref, hyp)
+                oracle_distance.cache_clear()
+
 
 class TestCorpusRate:
     def test_single_pair_equals_edit_distance_rate(self):

@@ -3,6 +3,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ctclab.ctc import CTCHead
 from ctclab.tensor import (
@@ -11,6 +13,7 @@ from ctclab.tensor import (
     Tensor,
     _norm_backward,
     _norm_forward,
+    _row_max,
     _sigmoid,
     add,
     gradcheck,
@@ -335,3 +338,29 @@ class TestBitExactHelpers:
             for got, expect in zip(got_fwd + got_bwd, expect_fwd + expect_bwd):
                 assert got.dtype == dtype
                 assert np.array_equal(got, expect)
+
+    @given(st.data())
+    def test_row_max_bitwise_equals_numpy_max(self, data):
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+        shape = (data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+                 + [data.draw(st.integers(1, 20))])
+        values = st.one_of(st.sampled_from([0.0, -0.0, -np.inf, 1.0, -1.0]),
+                           st.floats(-1e3, 1e3, width=32))
+        a = data.draw(arrays(dtype, shape, elements=values))
+        # padded keys: whole columns of -inf, as attention's padding adds
+        padded = data.draw(st.lists(st.booleans(), min_size=shape[-1], max_size=shape[-1]))
+        a[..., np.array(padded)] = -np.inf
+        got, expect = _row_max(a), a.max(axis=-1, keepdims=True)
+        assert got.shape == expect.shape and got.dtype == expect.dtype
+        assert got.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("shape", [(15, 4, 15, 15), (2, 4, 52, 52), (1, 4, 90, 90),
+                                       (16, 15, 6), (1, 1, 6), (3, 4, 1)])
+    def test_row_max_at_softmax_shapes(self, shape):
+        rng = np.random.default_rng(22)
+        for dtype in (np.float32, np.float64):
+            a = rng.normal(size=shape).astype(dtype)
+            a[..., 0, :] = rng.choice([0.0, -0.0], size=shape[-1])
+            assert _row_max(a).tobytes() == a.max(axis=-1, keepdims=True).tobytes()
+            a[..., 0, :] = 1.0  # no zero maximum
+            assert _row_max(a).tobytes() == a.max(axis=-1, keepdims=True).tobytes()
