@@ -129,12 +129,13 @@ class RunConfig:
             resolve_positions(cfg.loss_spec(), cfg.layers, np.random.default_rng(0))
         except ValueError as err:
             raise ConfigError(str(err)) from None
-        if cfg.epochs < 0 or cfg.batch_size < 1 or cfg.average_last < 1:
-            raise ConfigError("train.* values out of range")
-        for split in ("train", "dev", "test"):
-            size = getattr(cfg.task, f"{split}_size")
-            if size < 1:
-                raise ConfigError(f"task.{split}_size must be at least 1, got {size}")
+        bounds = [("train.epochs", cfg.epochs, 0), ("train.batch", cfg.batch_size, 1),
+                  ("train.average_last", cfg.average_last, 1)]
+        bounds += [(f"task.{split}_size", getattr(cfg.task, f"{split}_size"), 1)
+                   for split in ("train", "dev", "test")]
+        for key, value, least in bounds:
+            if value < least:
+                raise ConfigError(f"{key} must be at least {least}, got {value}")
         return cfg
 
     @classmethod

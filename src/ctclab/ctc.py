@@ -214,10 +214,6 @@ class CTCHead:
         return cls(Tensor(weight.astype(dtype), requires_grad=True),
                    Tensor(np.zeros(vocab + 1, dtype=dtype), requires_grad=True))
 
-    @property
-    def vocab(self) -> int:
-        return self.weight.shape[1] - 1
-
     def __call__(self, x: Tensor) -> Tensor:
         """Log-posteriors of a (T, D) or (B, T, D) representation, recorded
         as one tape entry."""

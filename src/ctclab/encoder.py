@@ -6,7 +6,8 @@ training a Bernoulli draw per utterance and layer keeps or skips the whole
 layer (stochastic depth, Huang et al. 2016).  `Encoder.forward` runs each
 layer on the rows that keep it, its residual branches scaled by 1/p_l so
 that the expectation matches the no-skip forward, and passes the other
-rows through at no cost.  Evaluation never skips and scales by 1.
+rows through at no cost.  The caller's draws alone decide this: a
+forward without draws, as evaluation's, never skips and scales by 1.
 
 Every residual sub-block is one tape entry (`record_op`) holding its
 pre-norm, the block and the residual add x + c * block: multi-head
@@ -88,9 +89,9 @@ def survival_probability(layer_index: int, num_layers: int, floor: float) -> flo
 
 @dataclass
 class LayerTrace:
-    """Per-layer outputs x_1..x_L and the keep/skip mask drawn for each:
-    for a (T, D) trace one 0/1 per layer, for a stack one such list per
-    utterance."""
+    """Per-layer outputs x_1..x_L and the keep/skip mask the draws gave
+    each, all ones for a forward without draws: for a (T, D) trace one 0/1
+    per layer, for a stack one such list per utterance."""
     states: list[Tensor]
     skip_mask: list  # 1 = layer applied, 0 = skipped (identity)
 
@@ -475,26 +476,24 @@ class Encoder:
             return g @ w.data.T, rows.T @ _rows(g), g.sum(axis=lead)
         return record_op(proj + pos, (x0, w, b), bfn)
 
-    def forward(self, x0: Tensor, mode: str = "eval", lengths=None,
+    def forward(self, x0: Tensor, lengths=None,
                 draws: np.ndarray | None = None) -> LayerTrace:
         """Run the stack, recording every intermediate representation.
 
         `x0` is one (T, F) utterance or a (B, T, F) stack of utterances
         padded to the longest, whose frame counts `lengths` gives (all T
-        when omitted; train mode needs them for a stack).  Each row's real
+        when omitted; a stack with draws needs them).  Each row's real
         frames are forwarded as if alone: attention skips the padded keys
         and the conv module the padded frames.
 
-        In train mode utterance b keeps layer l when draws[b, l] < p_l.
-        `draws` is a (B, L) array of uniform draws, (1, L) for one
-        utterance.  A layer that every row keeps runs on the whole stack and
-        one that no row keeps is the identity; any other runs on the rows
-        that keep it, taken out with their own padding and put back.  A
-        kept layer scales its residual branches by 1/p_l.  In eval mode
-        nothing is skipped, the scale is 1 and `draws` is ignored.
+        The draws decide stochastic depth.  `draws` is a (B, L) array of
+        uniform draws, (1, L) for one utterance, and utterance b keeps
+        layer l when draws[b, l] < p_l.  A layer that every row keeps runs
+        on the whole stack and one that no row keeps is the identity; any
+        other runs on the rows that keep it, taken out with their own
+        padding and put back.  A kept layer scales its residual branches by
+        1/p_l.  Without draws nothing is skipped and the scale is 1.
         """
-        if mode not in ("train", "eval"):
-            raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
         cfg = self.config
         stacked = x0.data.ndim == 3
         batch, steps = (x0.shape[0] if stacked else 1), x0.shape[-2]
@@ -507,11 +506,9 @@ class Encoder:
             padding = Padding.of(lengths, steps, self.dtype)
         keep = np.ones((batch, cfg.num_layers), dtype=bool)
         scales = [1.0] * cfg.num_layers
-        if mode == "train":
+        if draws is not None:
             if stacked and lengths is None:
-                raise ValueError("train mode takes a stack only with its lengths")
-            if draws is None:
-                raise ValueError("train mode needs draws for the skips")
+                raise ValueError("a stack with draws needs its lengths")
             draws = np.asarray(draws)
             if draws.shape != keep.shape:
                 raise ValueError(f"need {keep.shape} draws, got {draws.shape}")

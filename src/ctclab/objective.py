@@ -5,6 +5,11 @@ The deterministic variants mix the two losses as
 CTC losses read off one or more inner layers of the same forward pass.  The
 stochastic variant instead picks one of the two losses per step with
 probability w, which matches the deterministic mix in expectation.
+
+`plan_step` resolves the variant once per step into the layer positions and
+one weight per CTC loss, so each utterance's loss is the same weighted sum
+whatever the variant: (1 - w, w/k, ..., w/k) for the deterministic ones, 1
+on the drawn branch for the stochastic one and (1,) for none.
 """
 from __future__ import annotations
 
@@ -15,7 +20,7 @@ import numpy as np
 
 from .ctc import CTCHead, InfeasibleTargetError, ctc_loss, greedy_decode
 from .encoder import LayerTrace
-from .tensor import Tensor, add, scale, take
+from .tensor import Tensor, record_op, take
 
 VARIANTS = ("none", "middle", "lower", "multiple", "random", "stochastic")
 
@@ -40,10 +45,12 @@ class IntermediateLossSpec:
 
 @dataclass(frozen=True)
 class ObjectivePlan:
-    """Per-step resolution of the spec: concrete layer positions plus the
-    stochastic branch draw (shared across a batch)."""
+    """Per-step resolution of the spec, shared across a batch: concrete
+    layer positions, the weight of the final loss and then of each
+    position's, and the stochastic branch draw."""
 
     positions: tuple[int, ...]
+    weights: tuple[float, ...]
     branch: int | None = None  # stochastic variant: 1 = intermediate, 0 = final
 
 
@@ -52,7 +59,6 @@ class LossBreakdown:
     total: Tensor
     ctc_final: float
     ctc_intermediate: list[tuple[int, float]]  # (layer position, loss)
-    chosen_branch: int | None = None
 
 
 def resolve_positions(spec: IntermediateLossSpec, num_layers: int,
@@ -88,14 +94,18 @@ def resolve_positions(spec: IntermediateLossSpec, num_layers: int,
 
 def plan_step(spec: IntermediateLossSpec, num_layers: int,
               rng: np.random.Generator | None = None) -> ObjectivePlan:
-    """Draw the per-step randomness once so a whole batch shares it."""
+    """Draw the per-step randomness once so a whole batch shares it, and
+    weigh each CTC loss of the step."""
     positions = tuple(resolve_positions(spec, num_layers, rng))
-    branch = None
+    if spec.variant == "none":
+        return ObjectivePlan(positions, (1.0,))
     if spec.variant == "stochastic":
         if rng is None:
             raise ValueError("stochastic variant needs an rng")
         branch = int(rng.random() < spec.weight)
-    return ObjectivePlan(positions, branch)
+        return ObjectivePlan(positions, (1.0 - branch, float(branch)), branch)
+    share = spec.weight / len(positions)
+    return ObjectivePlan(positions, (1.0 - spec.weight,) + (share,) * len(positions))
 
 
 @dataclass
@@ -138,12 +148,12 @@ def total_loss(trace: LayerTrace, labels: Sequence[int],
         plan = plan_step(spec, trace.num_layers, rng)
     return _mix(heads.final(trace.final),
                 [(pos, heads.intermediate(trace.states[pos - 1])) for pos in plan.positions],
-                labels, spec, plan)
+                labels, plan)
 
 
 def stack_losses(trace: LayerTrace, lengths: Sequence[int],
-                 labels: Sequence[Sequence[int]], spec: IntermediateLossSpec,
-                 heads: CTCHeads, plan: ObjectivePlan) -> list[LossBreakdown | None]:
+                 labels: Sequence[Sequence[int]], heads: CTCHeads,
+                 plan: ObjectivePlan) -> list[LossBreakdown | None]:
     """The `total_loss` of each utterance of a padded (B, T, D) trace, whose
     rows are `lengths` frames long, or None for an utterance whose target
     its frames cannot carry.
@@ -159,36 +169,24 @@ def stack_losses(trace: LayerTrace, lengths: Sequence[int],
         try:
             losses.append(_mix(take(final, frames),
                                [(pos, take(grid, frames)) for pos, grid in inter],
-                               target, spec, plan))
+                               target, plan))
         except InfeasibleTargetError:
             losses.append(None)
     return losses
 
 
 def _mix(final_grid: Tensor, inter_grids: list[tuple[int, Tensor]], labels: Sequence[int],
-         spec: IntermediateLossSpec, plan: ObjectivePlan) -> LossBreakdown:
+         plan: ObjectivePlan) -> LossBreakdown:
     """One utterance's loss from its final grid and its grid at each
-    intermediate position."""
-    final = ctc_loss(final_grid, labels)
-    if spec.variant == "none":
-        return LossBreakdown(final, final.item(), [])
-
-    inter_losses = [(pos, ctc_loss(grid, labels)) for pos, grid in inter_grids]
-    breakdown = [(pos, loss.item()) for pos, loss in inter_losses]
-
-    if spec.variant == "stochastic":
-        total = inter_losses[0][1] if plan.branch else final
-        return LossBreakdown(total, final.item(), breakdown, plan.branch)
-
-    intermediate = inter_losses[0][1]
-    for _, loss in inter_losses[1:]:
-        intermediate = add(intermediate, loss)
-    if len(inter_losses) > 1:
-        intermediate = scale(intermediate, 1.0 / len(inter_losses))
-    if spec.weight == 0.0:
-        return LossBreakdown(final, final.item(), breakdown)
-    total = add(scale(final, 1.0 - spec.weight), scale(intermediate, spec.weight))
-    return LossBreakdown(total, final.item(), breakdown)
+    intermediate position: the plan's weighted sum of their CTC losses, one
+    tape entry over the losses whose weight is not zero.  Every grid's loss
+    is computed, so the breakdown reports each."""
+    losses = [ctc_loss(grid, labels) for grid in [final_grid] + [g for _, g in inter_grids]]
+    terms = [(w, loss) for w, loss in zip(plan.weights, losses) if w]
+    total = record_op(sum(w * loss.data for w, loss in terms), [loss for _, loss in terms],
+                      lambda g: [g * w for w, _ in terms])
+    return LossBreakdown(total, losses[0].item(),
+                         [(pos, loss.item()) for (pos, _), loss in zip(inter_grids, losses[1:])])
 
 
 def eval_decode(trace: LayerTrace, heads: CTCHeads) -> list[tuple[int, ...]]:

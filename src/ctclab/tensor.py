@@ -6,11 +6,10 @@ checks its output for NaN/Inf; producing a non-finite value from finite
 inputs is a contract violation and raises FloatingPointError.
 
 The primitives here are the few the rest of the program composes: add and
-mul (of two tensors of one shape), scale, take (an indexed part, such as
-one utterance's frames or some rows of a stack), put_rows (a stack with
-some rows replaced) and sum_all.  Each takes a (T, D) array or a
-(B, T, D) stack of them; at rank 2 the arithmetic is that of plain 2-D
-arrays.  Larger blocks with an analytic backward (the input frontend, the
+mul (of two tensors of one shape), take (an indexed part, such as one
+utterance's frames or some rows of a stack), put_rows (a stack with some
+rows replaced) and sum_all.  Each takes a (T, D) array or a (B, T, D)
+stack of them; at rank 2 the arithmetic is that of plain 2-D arrays.  Larger blocks with an analytic backward (the input frontend, the
 encoder's residual sub-blocks and the CTC head, each of which takes a whole
 training micro-batch as one stack) register themselves through `record_op`
 and are one tape entry each; the encoder's share the numpy helpers
@@ -213,11 +212,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ValueError(f"mul: shape mismatch {a.shape} vs {b.shape}")
     return _finish(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    """Multiply by a python scalar constant (no gradient w.r.t. c)."""
-    return _finish(x.data * c, (x,), lambda g: (g * c,))
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:

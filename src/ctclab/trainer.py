@@ -88,12 +88,12 @@ class Model:
         named.update(self.heads.parameters())
         return named
 
-    def trace(self, features: np.ndarray, mode: str = "eval", lengths=None,
+    def trace(self, features: np.ndarray, lengths=None,
               draws: np.ndarray | None = None) -> LayerTrace:
         """Forward (T, F) features or a (B, T, F) stack, with the lengths
         and stochastic-depth draws `Encoder.forward` takes."""
         x0 = Tensor(np.asarray(features, dtype=self.encoder.dtype))
-        return self.encoder.forward(x0, mode=mode, lengths=lengths, draws=draws)
+        return self.encoder.forward(x0, lengths=lengths, draws=draws)
 
 
 # --- optimizer ---------------------------------------------------------------
@@ -270,7 +270,7 @@ def micro_batches(lengths: list[int]) -> list[list[int]]:
     return groups
 
 
-def step_losses(model: Model, batch: list[Utterance], spec, plan,
+def step_losses(model: Model, batch: list[Utterance], plan,
                 draws: np.ndarray) -> list[LossBreakdown | None]:
     """Forward and backward one step's utterances in micro-batches, pushing
     1/len(batch) of each utterance's gradient onto the parameters.  Row i
@@ -286,10 +286,9 @@ def step_losses(model: Model, batch: list[Utterance], spec, plan,
         for row, i in enumerate(group):
             stack[row, :lengths[i]] = batch[i].features
         with Tape() as tape:
-            trace = model.trace(stack, mode="train", lengths=group_lengths,
-                                draws=draws[group])
+            trace = model.trace(stack, lengths=group_lengths, draws=draws[group])
             losses = stack_losses(trace, group_lengths, [batch[i].labels for i in group],
-                                  spec, model.heads, plan)
+                                  model.heads, plan)
             totals = tuple(b.total for b in losses if b is not None)
             share = None
             if totals:  # the micro-batch's share of the step's mean loss
@@ -332,7 +331,7 @@ def run_training(cfg: RunConfig, out_dir) -> TrainResult:
             plan = plan_step(spec, cfg.layers, rng)
             draws = rng.random((len(batch), cfg.layers))
             try:
-                breakdowns = step_losses(model, batch, spec, plan, draws)
+                breakdowns = step_losses(model, batch, plan, draws)
             except FloatingPointError as err:
                 raise TrainingDiverged(
                     f"non-finite value at epoch {epoch}, step {optimizer.step + 1}: {err}"

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -141,6 +142,21 @@ class TestTrain:
         assert main(["train", "--out", "somewhere"]) == 1
         assert "usage error" in capsys.readouterr().err
 
+    def test_divergence_exits_two_with_one_line(self, tmp_path):
+        # a fresh interpreter, so every line numpy would print reaches stderr
+        config = tmp_path / "run.cfg"
+        config.write_text(TINY_CONFIG)
+        argv = ["train", "--config", str(config), "--out", str(tmp_path / "out")]
+        code = ("import sys, ctclab.trainer; ctclab.trainer.PEAK_LR_FACTOR = 1e30; "
+                f"from ctclab.cli import main; sys.exit(main({argv!r}))")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(ctclab.cli.__file__).resolve().parents[1]))
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True)
+        assert run.returncode == 2
+        assert run.stderr.startswith("training diverged: ")
+        assert run.stderr.count("\n") == 1
+
 
 class TestFileErrors:
     @pytest.mark.parametrize("argv", [
@@ -194,6 +210,25 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(bad)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestMalformedCheckpoint:
+    @pytest.mark.parametrize("damage, named", [
+        (lambda blob: blob[:4] + struct.pack("<I", 2) + blob[8:],
+         "unsupported checkpoint version 2"),
+        (lambda blob: blob.replace(b"encoder.layer1.ffn.w2", b"encoder.layer1.ffn.w1"),
+         "duplicate parameter name 'encoder.layer1.ffn.w1'"),
+    ], ids=["version_2", "repeated_name"])
+    def test_eval_rejects(self, tmp_path, damage, named, capsys):
+        cfg = RunConfig.parse(TINY_CONFIG)
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(path, checkpoint_from_model(Model.from_run_config(cfg),
+                                                    cfg.to_text()))
+        path.write_bytes(damage(path.read_bytes()))
+        assert main(["eval", "--checkpoint", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
 
 
 class TestNonFiniteCheckpoint:
@@ -257,6 +292,19 @@ class TestDecode:
         path.write_text("1 1\n-1 0\n\n  \n")
         assert main(["decode", "--logits", str(path)]) == 0
         assert capsys.readouterr().out == "1\n"
+
+    @pytest.mark.parametrize("text, named", [
+        ("2 x\n0 0 0\n0 0 0\n", "non-integer header"),
+        ("0 2\n", "must be positive"),
+        ("3 1\n0 -1\n-1 0", "expected 3 rows of log-probabilities, got 2"),
+    ], ids=["non_integer_header", "zero_extent", "fewer_rows_than_T"])
+    def test_bad_header_or_row_count_rejected(self, tmp_path, text, named, capsys):
+        path = tmp_path / "grid.txt"
+        path.write_text(text)
+        assert main(["decode", "--logits", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
 
     def test_malformed_header(self, tmp_path, capsys):
         path = tmp_path / "grid.txt"

@@ -142,6 +142,9 @@ class TestParsing:
         ("task.dev_size=0", "task.dev_size"),
         ("task.test_size=0", "task.test_size"),
         ("task.test_size=-3", "task.test_size"),
+        ("train.epochs=-1", "train.epochs must be at least 0, got -1"),
+        ("train.batch=0", "train.batch must be at least 1, got 0"),
+        ("train.average_last=0", "train.average_last must be at least 1, got 0"),
     ])
     def test_values_that_crash_hang_or_mislead_are_rejected(self, text, named):
         with pytest.raises(ConfigError, match=named):

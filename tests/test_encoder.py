@@ -432,11 +432,11 @@ class TestStacked:
         for t in [*enc.parameters().values(), *head.parameters().values()]:
             t.data[...] = rng.uniform(-1, 1, size=t.shape)
         feats = rng.normal(size=(3, 6, 5))
-        stacked = enc.forward(Tensor(feats), mode="eval")
+        stacked = enc.forward(Tensor(feats))
         log_post = head(stacked.final).data
         assert stacked.final.shape == (3, 6, 8) and log_post.shape == (3, 6, 4)
         for b, features in enumerate(feats):
-            alone = enc.forward(Tensor(features), mode="eval")
+            alone = enc.forward(Tensor(features))
             for s, a in zip(stacked.states, alone.states):
                 np.testing.assert_allclose(s.data[b], a.data, rtol=0, atol=1e-12)
             np.testing.assert_allclose(log_post[b], head(alone.final).data,
@@ -455,7 +455,7 @@ class TestStacked:
     def test_train_mode_rejects_a_stack(self):
         enc = Encoder.build(tiny_config())
         with pytest.raises(ValueError):
-            enc.forward(Tensor(np.ones((2, 3, 5))), mode="train",
+            enc.forward(Tensor(np.ones((2, 3, 5))),
                         draws=np.random.default_rng(0).random((2, 2)))
 
 
@@ -475,7 +475,7 @@ class TestKeptRows:
         feats = np.zeros((3, 6, 5))
         for row, length in enumerate(self.LENGTHS):
             feats[row, :length] = rng.normal(size=(length, 5))
-        trace = enc.forward(Tensor(feats), mode="train", lengths=self.LENGTHS,
+        trace = enc.forward(Tensor(feats), lengths=self.LENGTHS,
                             draws=self.DRAWS)
         return enc, feats, trace
 
@@ -490,7 +490,7 @@ class TestKeptRows:
                 assert np.array_equal(state.data[row], prev[row])
             prev = state.data
         for row, length in enumerate(self.LENGTHS):
-            alone = enc.forward(Tensor(feats[row, :length]), mode="train",
+            alone = enc.forward(Tensor(feats[row, :length]),
                                 draws=self.DRAWS[row:row + 1])
             for s, a in zip(trace.states, alone.states):
                 np.testing.assert_allclose(s.data[row, :length], a.data,
@@ -509,7 +509,7 @@ class TestKeptRows:
     def test_layer_no_row_keeps_is_the_same_tensor(self):
         enc = Encoder.build(tiny_config(num_layers=3, survival_floor=0.5))
         x = Tensor(np.random.default_rng(23).normal(size=(2, 4, 5)))
-        trace = enc.forward(x, mode="train", lengths=[4, 3],
+        trace = enc.forward(x, lengths=[4, 3],
                             draws=np.array([[0.0, 0.99, 0.0], [0.0, 0.99, 0.0]]))
         assert trace.skip_mask == [[1, 0, 1], [1, 0, 1]]
         assert trace.states[1] is trace.states[0]
@@ -525,21 +525,11 @@ class TestForward:
         assert all(s.shape == (9, 8) for s in trace.states)
         assert trace.skip_mask == [1, 1]
 
-    def test_eval_independent_of_rng(self):
-        enc = Encoder.build(tiny_config(survival_floor=0.5))
-        x = Tensor(np.random.default_rng(8).normal(size=(4, 5)))
-        a = enc.forward(x, mode="eval")
-        b = enc.forward(x, mode="eval", draws=np.random.default_rng(123).random((1, 2)))
-        c = enc.forward(x, mode="eval", draws=np.ones((1, 2)))  # would skip every layer
-        assert (a.final.data == b.final.data).all()
-        assert (a.final.data == c.final.data).all()
-        assert c.skip_mask == [1, 1]
-
     def test_survival_one_train_equals_eval_bitwise(self):
         enc = Encoder.build(tiny_config(survival_floor=1.0))
         x = Tensor(np.random.default_rng(9).normal(size=(5, 5)))
-        train = enc.forward(x, mode="train", draws=np.random.default_rng(0).random((1, 2)))
-        ev = enc.forward(x, mode="eval")
+        train = enc.forward(x, draws=np.random.default_rng(0).random((1, 2)))
+        ev = enc.forward(x)
         for a, b in zip(train.states, ev.states):
             assert (a.data == b.data).all()
         assert train.skip_mask == [1, 1]
@@ -547,23 +537,18 @@ class TestForward:
     def test_seeded_forward_reproducible(self):
         enc = Encoder.build(tiny_config(num_layers=4, survival_floor=0.5))
         x = Tensor(np.random.default_rng(10).normal(size=(4, 5)))
-        a = enc.forward(x, mode="train", draws=np.random.default_rng(77).random((1, 4)))
-        b = enc.forward(x, mode="train", draws=np.random.default_rng(77).random((1, 4)))
+        a = enc.forward(x, draws=np.random.default_rng(77).random((1, 4)))
+        b = enc.forward(x, draws=np.random.default_rng(77).random((1, 4)))
         assert a.skip_mask == b.skip_mask
         for s, t in zip(a.states, b.states):
             assert (s.data == t.data).all()
-
-    def test_train_mode_requires_draws(self):
-        enc = Encoder.build(tiny_config())
-        with pytest.raises(ValueError, match="draws"):
-            enc.forward(Tensor(np.ones((3, 5))), mode="train")
 
     def test_skipped_layer_is_identity(self):
         # survival floor so low that skips are common; a skipped layer must
         # pass its input through unchanged
         enc = Encoder.build(tiny_config(num_layers=6, survival_floor=0.05))
         x = Tensor(np.random.default_rng(11).normal(size=(3, 5)))
-        trace = enc.forward(x, mode="train", draws=np.random.default_rng(3).random((1, 6)))
+        trace = enc.forward(x, draws=np.random.default_rng(3).random((1, 6)))
         assert 0 in trace.skip_mask  # the draw actually skipped something
         prev = enc.input_frontend(x)
         for state, kept in zip(trace.states, trace.skip_mask):
@@ -599,7 +584,7 @@ class TestEncoderGradients:
         params.update({f"head.{k}": v for k, v in head.parameters().items()})
 
         def f():
-            trace = enc.forward(x, mode="eval")
+            trace = enc.forward(x)
             return ctc_loss(head(trace.final), labels)
         report = gradcheck(f, params)
         assert report.max_rel_error < 1e-4

@@ -109,7 +109,7 @@ class TestTotalLoss:
         self.labels = (1, 3)
 
     def trace(self):
-        return self.enc.forward(self.x, mode="eval")
+        return self.enc.forward(self.x)
 
     def plain_ctc(self):
         return ctc_loss(self.heads.final(self.trace().final), self.labels).item()
@@ -151,11 +151,11 @@ class TestTotalLoss:
         enc, heads = self.enc, self.heads
 
         g_total = grads_of(enc, heads, lambda: total_loss(
-            enc.forward(self.x, mode="eval"), self.labels, spec, heads).total)
+            enc.forward(self.x), self.labels, spec, heads).total)
         g_final = grads_of(enc, heads, lambda: ctc_loss(
-            heads.final(enc.forward(self.x, mode="eval").final), self.labels))
+            heads.final(enc.forward(self.x).final), self.labels))
         g_inter = grads_of(enc, heads, lambda: ctc_loss(
-            heads.intermediate(enc.forward(self.x, mode="eval").states[1]),
+            heads.intermediate(enc.forward(self.x).states[1]),
             self.labels))
 
         for name in g_total:
@@ -169,10 +169,11 @@ class TestTotalLoss:
         seen = set()
         rng = np.random.default_rng(5)
         for _ in range(50):
-            bd = total_loss(trace, self.labels, spec, self.heads, rng)
-            assert bd.chosen_branch in (0, 1)
-            seen.add(bd.chosen_branch)
-            expect = bd.ctc_intermediate[0][1] if bd.chosen_branch else bd.ctc_final
+            plan = plan_step(spec, trace.num_layers, rng)
+            bd = total_loss(trace, self.labels, spec, self.heads, plan=plan)
+            assert plan.branch in (0, 1)
+            seen.add(plan.branch)
+            expect = bd.ctc_intermediate[0][1] if plan.branch else bd.ctc_final
             assert bd.total.item() == expect
         assert seen == {0, 1}
 
@@ -203,7 +204,7 @@ class TestTotalLoss:
     def test_infeasible_target_propagates(self):
         from ctclab.ctc import InfeasibleTargetError
         short = Tensor(np.random.default_rng(8).normal(size=(1, 5)))
-        trace = self.enc.forward(short, mode="eval")
+        trace = self.enc.forward(short)
         with pytest.raises(InfeasibleTargetError):
             total_loss(trace, (1, 1), IntermediateLossSpec("middle"), self.heads)
 
@@ -215,21 +216,21 @@ class TestEvalDecode:
         other = CTCHeads(shared.final,
                          CTCHead.build(8, 3, np.random.default_rng(2)))
         x = Tensor(np.random.default_rng(3).normal(size=(7, 5)))
-        trace = enc.forward(x, mode="eval")
+        trace = enc.forward(x)
         assert eval_decode(trace, shared) == eval_decode(trace, other)
 
     def test_matches_greedy_on_final_head(self):
         from ctclab.ctc import greedy_decode
         enc, heads = make_model()
         x = Tensor(np.random.default_rng(4).normal(size=(5, 5)))
-        trace = enc.forward(x, mode="eval")
+        trace = enc.forward(x)
         assert eval_decode(trace, heads) == [greedy_decode(heads.final(trace.final).data)]
 
     def test_golden_decode_frozen_model(self):
         # pinned once from a seeded build of this implementation
         enc, heads = make_model(num_layers=2, seed=2024, vocab=4)
         x = Tensor(np.random.default_rng(77).normal(size=(12, 5)) * 2.0)
-        got = eval_decode(enc.forward(x, mode="eval"), heads)
+        got = eval_decode(enc.forward(x), heads)
         assert got == [GOLDEN_DECODE]
 
 

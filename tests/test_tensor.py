@@ -20,7 +20,6 @@ from ctclab.tensor import (
     mul,
     put_rows,
     record_op,
-    scale,
     sum_all,
     take,
 )
@@ -231,12 +230,6 @@ class TestGradcheck:
             y = add(x, b)  # fans out into two weighted sums
             return add(sum_all(mul(y, w1)), sum_all(mul(y, w2)))
         report = gradcheck(f, {"x": x, "b": b})
-        assert report.max_rel_error < 1e-6
-
-    def test_scale(self):
-        rng = np.random.default_rng(10)
-        x = rand_param(rng, 5, 5)
-        report = gradcheck(lambda: sum_all(scale(mul(x, x), 0.37)), {"x": x})
         assert report.max_rel_error < 1e-6
 
     @pytest.mark.parametrize("index", [np.array([2, 0]), (1, slice(3))],

@@ -10,7 +10,7 @@ from ctclab.config import RunConfig
 from ctclab.ctc import InfeasibleTargetError, ctc_loss
 from ctclab.data import Utterance, generate_dataset
 from ctclab.objective import eval_decode, plan_step, total_loss
-from ctclab.tensor import Tape, scale
+from ctclab.tensor import Tape, Tensor, mul
 from ctclab.trainer import (
     Checkpoint,
     Model,
@@ -252,7 +252,7 @@ class TestTraining:
         before = eval_loss()
         for _ in range(50):
             plan = plan_step(spec, cfg.layers, rng)
-            step_losses(model, train, spec, plan, rng.random((len(train), cfg.layers)))
+            step_losses(model, train, plan, rng.random((len(train), cfg.layers)))
             optimizer.apply_gradients(params)
         assert eval_loss() < 0.5 * before
 
@@ -331,14 +331,14 @@ class TestMicroBatches:
         alone, masks = [], []
         for utt, row in zip(batch, draws):
             with Tape() as tape:
-                trace = model.trace(utt.features, mode="train", draws=row[None])
+                trace = model.trace(utt.features, draws=row[None])
                 masks.append(trace.skip_mask)
                 try:
                     breakdown = total_loss(trace, utt.labels, spec, model.heads, plan=plan)
                 except InfeasibleTargetError:
                     alone.append(None)
                     continue
-                loss = scale(breakdown.total, 1.0 / len(batch))
+                loss = mul(breakdown.total, Tensor(1.0 / len(batch)))
             tape.backward(loss)
             alone.append(breakdown)
         expect = {name: p.grad.copy() for name, p in params.items()}
@@ -348,7 +348,7 @@ class TestMicroBatches:
         saved = ctclab.trainer.TRAIN_FRAMES
         ctclab.trainer.TRAIN_FRAMES = budget
         try:
-            got = step_losses(model, batch, spec, plan, draws)
+            got = step_losses(model, batch, plan, draws)
             groups = micro_batches([utt.features.shape[0] for utt in batch])
         finally:
             ctclab.trainer.TRAIN_FRAMES = saved
@@ -372,7 +372,7 @@ class TestMicroBatches:
             stack = np.zeros((len(group), max(lengths), 5))
             for row, i in enumerate(group):
                 stack[row, :lengths[row]] = batch[i].features
-            trace = model.trace(stack, mode="train", lengths=lengths, draws=draws[group])
+            trace = model.trace(stack, lengths=lengths, draws=draws[group])
             assert trace.skip_mask == [masks[i] for i in group]
 
 
@@ -396,7 +396,7 @@ class TestTapeLifetime:
         try:
             for _ in range(2):
                 plan = plan_step(spec, cfg.layers, rng)
-                step_losses(model, utterances, spec, plan,
+                step_losses(model, utterances, plan,
                             rng.random((len(utterances), cfg.layers)))
             live_tapes = sum(isinstance(o, Tape) for o in gc.get_objects())
             found = gc.collect()
@@ -424,7 +424,7 @@ class TestEvaluate:
         spec = cfg.loss_spec()
         for _ in range(250):
             plan = plan_step(spec, cfg.layers, rng)
-            step_losses(model, data, spec, plan, rng.random((len(data), cfg.layers)))
+            step_losses(model, data, plan, rng.random((len(data), cfg.layers)))
             optimizer.apply_gradients(params)
         result = evaluate_model(model, data)
         assert result.rate == 0.0
