@@ -1,7 +1,8 @@
 """Command-line entry point: train, eval, decode, gradcheck, oracle, average.
 
-Exit codes: 0 success, 1 usage/config error, 2 runtime failure (divergence or
-a failed verification suite).
+Exit codes: 0 success, 1 usage/config error or bad input (such as a
+checkpoint whose weights overflow the forward), 2 runtime failure
+(divergence or a failed verification suite).
 """
 from __future__ import annotations
 
@@ -280,7 +281,7 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
-    except (ConfigError, OSError, ValueError) as err:
+    except (ConfigError, OSError, ValueError, FloatingPointError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except TrainingDiverged as err:

@@ -187,6 +187,23 @@ def _rows(m: np.ndarray) -> np.ndarray:
     return m.reshape(-1, m.shape[-1])
 
 
+def _affine(m: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
+    """m @ w + b, the bias added in place on the fresh product."""
+    out = m @ w.data
+    out += b.data
+    return out
+
+
+def _residual(x: np.ndarray, block: np.ndarray, scale: float) -> np.ndarray:
+    """x + scale * block as (block * scale) + x, in place on `block`, a
+    fresh (N, D) product.  A scale of 1 costs no pass: block * 1.0 is
+    block, bit for bit."""
+    if scale != 1.0:
+        block *= scale
+    block += _rows(x)
+    return block.reshape(x.shape)
+
+
 @dataclass(frozen=True)
 class Padding:
     """Where the frames of a padded (B, T, D) stack end: `keys` is added to
@@ -216,8 +233,13 @@ def self_attention(x: Tensor, norm: Norm, p: Attention, n_heads: int,
     utterance, except the padded keys that `padding` marks.
 
     The heads run as batched (..., H, T, d_h) products and the softmax
-    subtracts each row's maximum, so extreme scores stay finite.  The
-    backward is analytic: dV = A^T dO, dA = dO V^T,
+    subtracts each row's maximum, so extreme scores stay finite.  K^T, and
+    V^T in the backward, are contiguous copies: numpy's stacked matmul is
+    slower when its second operand is a transposed view, and the bits are
+    the same.  The context A V is written straight into the merged (..., T,
+    H, d_h) layout, so the heads need no copy to sit side by side, and the
+    biases, the branch scale and the residual are applied in place on each
+    fresh product.  The backward is analytic: dV = A^T dO, dA = dO V^T,
     dS = A * (dA - rowsum(dA * A)), dQ = dS K / sqrt(d_h) and
     dK = dS^T Q / sqrt(d_h).  `x` is an input twice, for the residual's
     adjoint and then for the block's, so the tape sums them in the order
@@ -239,24 +261,24 @@ def self_attention(x: Tensor, norm: Norm, p: Attention, n_heads: int,
     def merge(m):  # (..., H, T, d_h) -> (N, D), heads side by side
         return m.swapaxes(-3, -2).reshape(-1, d)
 
-    q = split(xn @ p.wq.data + p.bq.data)
-    k = split(xn @ p.wk.data + p.bk.data)
-    v = split(xn @ p.wv.data + p.bv.data)
+    q, k, v = (split(_affine(xn, w, b)) for w, b in ((p.wq, p.bq), (p.wk, p.bk),
+                                                       (p.wv, p.bv)))
     # the softmax runs in place, so one (..., H, T, T) buffer is live at a time
-    attn = q @ k.swapaxes(-1, -2)
+    attn = q @ np.ascontiguousarray(k.swapaxes(-1, -2))
     attn *= c
     if padding is not None:
         attn += padding.keys
     attn -= _row_max(attn)
     np.exp(attn, out=attn)
     attn /= attn.sum(axis=-1, keepdims=True)
-    context = merge(attn @ v)
-    block = (context @ p.wo.data + p.bo.data).reshape(x.shape)
+    context = np.empty_like(xn)
+    np.matmul(attn, v, out=split(context))
+    out = _residual(x.data, _affine(context, p.wo, p.bo), branch_scale)
 
     def bfn(g):
         gb = _rows(g * branch_scale)
         d_ctx = split(gb @ p.wo.data.T)
-        d_attn = d_ctx @ v.swapaxes(-1, -2)
+        d_attn = d_ctx @ np.ascontiguousarray(v.swapaxes(-1, -2))
         d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True)) * c
         dq = merge(d_scores @ k)
         dk = merge(d_scores.swapaxes(-1, -2) @ q)
@@ -266,9 +288,8 @@ def self_attention(x: Tensor, norm: Norm, p: Attention, n_heads: int,
         return (g, dx.reshape(x.shape), dgain, dbias,
                 xn.T @ dq, dq.sum(axis=0), xn.T @ dk, dk.sum(axis=0),
                 xn.T @ dv, dv.sum(axis=0), context.T @ gb, gb.sum(axis=0))
-    out = record_op(x.data + block * branch_scale,
-                    (x, x, norm.gain, norm.bias, p.wq, p.bq, p.wk, p.bk, p.wv, p.bv,
-                     p.wo, p.bo), bfn)
+    out = record_op(out, (x, x, norm.gain, norm.bias, p.wq, p.bq, p.wk, p.bk, p.wv, p.bv,
+                          p.wo, p.bo), bfn)
     if not return_weights:
         return out
     return out, [Tensor(a) for a in attn.reshape(-1, steps, steps)]
@@ -279,14 +300,21 @@ def _feed_forward(x: Tensor, norm: Norm, p: FeedForward, activation: str,
     """Residual pre-norm position-wise feed-forward, x + c * ffn(norm(x))
     with a relu or swish between its two layers, and then `out_norm` if
     given (the Conformer's output norm), recorded as one tape entry with an
-    analytic backward.  `c` is `branch_scale`, as for `self_attention`."""
+    analytic backward.  `c` is `branch_scale`, as for `self_attention`.
+    The activation overwrites the hidden layer: the relu's backward reads
+    its mask from the output (a > 0 where h > 0), and the swish's needs
+    only s and a."""
     if activation not in ("relu", "swish"):
         raise ValueError(f"unknown activation {activation!r}")
     xn, xhat, inv = _norm(_rows(x.data), norm)
-    h = xn @ p.w1.data + p.b1.data
-    s = _sigmoid(h) if activation == "swish" else None
-    a = np.maximum(h, 0.0) if s is None else h * s
-    y = x.data + (a @ p.w2.data + p.b2.data).reshape(x.shape) * branch_scale
+    a = _affine(xn, p.w1, p.b1)
+    s = None
+    if activation == "relu":
+        np.maximum(a, 0.0, out=a)
+    else:
+        s = _sigmoid(a)
+        a *= s
+    y = _residual(x.data, _affine(a, p.w2, p.b2), branch_scale)
     if out_norm is not None:
         y, yhat, yinv = _norm(_rows(y), out_norm)
         y = y.reshape(x.shape)
@@ -298,7 +326,7 @@ def _feed_forward(x: Tensor, norm: Norm, p: FeedForward, activation: str,
             g = g.reshape(x.shape)
         gb = _rows(g * branch_scale)
         da = gb @ p.w2.data.T
-        dh = da * (h > 0) if s is None else da * (s + a * (1.0 - s))
+        dh = da * (a > 0) if s is None else da * (s + a * (1.0 - s))
         dx, dgain, dbias = _norm_backward(dh @ p.w1.data.T, norm.gain.data, xhat, inv)
         return (g, dx.reshape(x.shape), dgain, dbias,
                 xn.T @ dh, dh.sum(axis=0), a.T @ gb, gb.sum(axis=0), *tail)
@@ -323,7 +351,7 @@ def _conv_module(x: Tensor, norm: Norm, p: ConvModule, branch_scale: float = 1.0
     g * (s + (n * s) * (1 - s)).
     """
     xn, xhat, inv = _norm(_rows(x.data), norm)
-    h = xn @ p.pw1_w.data + p.pw1_b.data
+    h = _affine(xn, p.pw1_w, p.pw1_b)
     half = h.shape[1] // 2
     a = h[:, :half]
     gate = _sigmoid(h[:, half:])
@@ -341,7 +369,7 @@ def _conv_module(x: Tensor, norm: Norm, p: ConvModule, branch_scale: float = 1.0
     n, nhat, ninv = _norm(_rows(conv) + p.kernel_bias.data, p.norm)
     s = _sigmoid(n)
     act = n * s
-    block = (act @ p.pw2_w.data + p.pw2_b.data).reshape(x.shape)
+    out = _residual(x.data, _affine(act, p.pw2_w, p.pw2_b), branch_scale)
 
     def bfn(g):
         gb = _rows(g * branch_scale)
@@ -361,7 +389,7 @@ def _conv_module(x: Tensor, norm: Norm, p: ConvModule, branch_scale: float = 1.0
         return (g, dx.reshape(x.shape), dgain, dbias, xn.T @ dh, dh.sum(axis=0),
                 dkernel, _rows(dconv).sum(axis=0), dngain, dnbias,
                 act.T @ gb, gb.sum(axis=0))
-    return record_op(x.data + block * branch_scale,
+    return record_op(out,
                      (x, x, norm.gain, norm.bias, p.pw1_w, p.pw1_b, p.kernel,
                       p.kernel_bias, p.norm.gain, p.norm.bias, p.pw2_w, p.pw2_b),
                      bfn)

@@ -238,12 +238,15 @@ def _norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
                   eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Layer norm over the last axis: (gain * xhat + bias, xhat, inv), with
     the population variance.  The sums and divisions are the ones np.mean
-    and np.var make, so the bits are theirs."""
+    and np.var make, so the bits are theirs.  Each step after the centring
+    writes in place on an array this call made."""
     n = x.shape[-1]
-    c = x - x.sum(axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt((c * c).sum(axis=-1, keepdims=True) / n + eps)
-    xhat = c * inv
-    return xhat * gain + bias, xhat, inv
+    xhat = x - x.sum(axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / n + eps)
+    xhat *= inv
+    out = xhat * gain
+    out += bias
+    return out, xhat, inv
 
 
 def _norm_backward(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray,

@@ -13,8 +13,10 @@ stack with one tape and one backward, through which every utterance adds
 1/batch of its gradient before the step's one Adam update; each CTC loss
 is still computed on its own utterance's unpadded grid.  Evaluation has no
 tape and no draws: it groups utterances by length and forwards each group
-in (B, T, F) stacks of at most EVAL_STACK, so no utterance is padded, and
-greedy-decodes each stack with one argmax.
+in (B, T, F) stacks of at most EVAL_FRAMES frames, so no utterance is
+padded, and greedy-decodes each stack with one argmax.  A non-finite value
+in a step or in the per-epoch dev decode ends training with
+TrainingDiverged.
 """
 from __future__ import annotations
 
@@ -43,11 +45,16 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-9
 WARMUP_STEPS = 1000
 PEAK_LR_FACTOR = 3.0
-# Most equal-length utterances one eval forward takes.  On a 2-vCPU host,
-# caps of 12 to 32 decoded a 1950-utterance split of 26 lengths equally fast
-# within noise, 16 with the best median, while the live memory of a
-# default-config forward grows with the cap: about 2 MB at 16, 3.7 MB at 32.
-EVAL_STACK = 16
+# Most frames (utterances x their common length) one eval forward takes;
+# an utterance longer than that is a stack of its own.  At 240 the largest
+# array of a default-config stack, the (240, d_ff) hidden layer or the
+# attention scores at T = 32, stays under 128 KiB, glibc's default mmap
+# threshold, so no forward maps and unmaps fresh pages.  On a 2-vCPU host a
+# 1950-utterance split of 26 lengths (4-29 frames) decoded at 4929, 6894,
+# 7943, 8153 and 7949 utt/s with budgets of 64, 120, 240, 480 and 960
+# (medians of 10 alternating calls), so the budget costs little speed for
+# its bounded memory.
+EVAL_FRAMES = 240
 # Most padded frames (utterances x the longest's length) one training tape
 # takes; the tape's saved arrays grow with it.  With one tape per
 # utterance, `bench/run.py` read 558 utt/s on train-default and 102 on
@@ -352,7 +359,11 @@ def run_training(cfg: RunConfig, out_dir) -> TrainResult:
             epoch_losses.append(mean_loss)
 
         train_loss = float(np.mean(epoch_losses)) if epoch_losses else float("nan")
-        dev_ter = evaluate_model(model, dev_set).rate
+        try:
+            dev_ter = evaluate_model(model, dev_set).rate
+        except FloatingPointError as err:
+            raise TrainingDiverged(
+                f"non-finite value in the dev decode after epoch {epoch}: {err}") from err
         metrics.append((epoch, train_loss, dev_ter))
         metrics_lines.append(f"{epoch}\t{train_loss:.6f}\t{dev_ter:.6f}")
         logger.info("epoch %d: train_loss=%.4f dev_ter=%.4f", epoch, train_loss, dev_ter)
@@ -381,17 +392,18 @@ class EvalResult:
 
 def evaluate_model(model: Model, dataset: list[Utterance]) -> EvalResult:
     """Greedy-decode every utterance, forwarding equal-length utterances
-    together in stacks of at most EVAL_STACK, and score the decodes; they
-    come back in dataset order."""
+    together in stacks of at most EVAL_FRAMES frames (one utterance when it
+    is longer), and score the decodes; they come back in dataset order."""
     if not dataset:
         raise ValueError("cannot evaluate on an empty dataset")
     by_length: dict[int, list[int]] = {}
     for index, utt in enumerate(dataset):
         by_length.setdefault(utt.features.shape[0], []).append(index)
     decodes: list[tuple[int, ...]] = [()] * len(dataset)
-    for indices in by_length.values():
-        for start in range(0, len(indices), EVAL_STACK):
-            stack = indices[start:start + EVAL_STACK]
+    for steps, indices in by_length.items():
+        size = max(1, EVAL_FRAMES // steps)
+        for start in range(0, len(indices), size):
+            stack = indices[start:start + size]
             trace = model.trace(np.stack([dataset[i].features for i in stack]))
             for index, hyp in zip(stack, eval_decode(trace, model.heads)):
                 decodes[index] = hyp

@@ -16,6 +16,7 @@ from ctclab.data import generate_dataset
 from ctclab.tensor import record_op
 from ctclab.trainer import (
     Model,
+    OptimizerState,
     checkpoint_from_model,
     evaluate,
     load_checkpoint,
@@ -157,6 +158,24 @@ class TestTrain:
         assert run.stderr.startswith("training diverged: ")
         assert run.stderr.count("\n") == 1
 
+    def test_dev_decode_overflow_exits_two_with_one_line(self, tmp_path, monkeypatch,
+                                                         capsys):
+        # the last of the epoch's four updates leaves a finite weight so
+        # large that the dev decode's forward overflows
+        update = OptimizerState.apply_gradients
+
+        def poisoning(state, params):
+            update(state, params)
+            if state.step == 4:
+                params["encoder.layer1.ffn.w1"].data[...] = 3e38
+        monkeypatch.setattr(OptimizerState, "apply_gradients", poisoning)
+        config = tmp_path / "run.cfg"
+        config.write_text(TINY_CONFIG)
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("training diverged: non-finite value in the dev decode "
+                              "after epoch 1") and err.count("\n") == 1
+
 
 class TestFileErrors:
     @pytest.mark.parametrize("argv", [
@@ -247,6 +266,16 @@ class TestNonFiniteCheckpoint:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert "'encoder.layer1.ffn.w1'" in err
         assert not out.exists()
+
+    def test_eval_overflowing_weights_exits_one_with_one_line(self, tmp_path, capsys):
+        # every weight is finite, but the first forward overflows
+        cfg = RunConfig.parse(TINY_CONFIG)
+        ckpt = checkpoint_from_model(Model.from_run_config(cfg), cfg.to_text())
+        ckpt.params["encoder.layer1.ffn.w1"][...] = 3e38
+        path = tmp_path / "huge.ckpt"
+        save_checkpoint(path, ckpt)
+        assert main(["eval", "--checkpoint", str(path)]) == 1
+        assert capsys.readouterr().err == "error: op produced a non-finite value\n"
 
 
 class TestDecode:

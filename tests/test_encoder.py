@@ -10,6 +10,7 @@ from ctclab.encoder import (
     FeedForward,
     LayerTrace,
     Norm,
+    Padding,
     _conv_module,
     _feed_forward,
     _named_tensors,
@@ -98,6 +99,10 @@ def reference_conv_module(x, norm, p):
     h = reference_norm(x, norm) @ p.pw1_w.data + p.pw1_b.data
     half = h.shape[1] // 2
     return reference_conv_tail(h[:, :half] / (1.0 + np.exp(-h[:, half:])), p)
+
+
+# row lengths of the padded (3, 6, D) stacks below
+PADDED_LENGTHS = [6, 4, 5]
 
 
 class TestConfig:
@@ -236,6 +241,21 @@ class TestSelfAttention:
         np.testing.assert_allclose(out.data, x + reference_attention(x, norm, p, 2),
                                    rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("scale", [1.0, 1 / 0.7], ids=["scale_1", "scale_1/0.7"])
+    def test_padded_stack_matches_per_head_composition(self, scale):
+        # each row's real frames, against the composition on that row alone
+        rng = np.random.default_rng(24)
+        layer = Encoder.build(tiny_config()).layers[0]
+        norm, p = randomize(layer.att_norm, rng), randomize(layer.attention, rng)
+        x = rng.normal(size=(3, 6, 8))
+        padding = Padding.of(np.array(PADDED_LENGTHS), 6, np.float64)
+        out = self_attention(Tensor(x), norm, p, 2, scale, padding)
+        for row, length in enumerate(PADDED_LENGTHS):
+            real = x[row, :length]
+            np.testing.assert_allclose(
+                out.data[row, :length], real + scale * reference_attention(real, norm, p, 2),
+                rtol=0, atol=1e-12)
+
     def test_equal_scores_average_the_values(self):
         # zero queries give every key the same score, so each row of each
         # map is uniform and every position gets the mean value
@@ -296,6 +316,24 @@ class TestFeedForward:
         np.testing.assert_allclose(out.data,
                                    x + reference_feed_forward(x, norm, p, activation),
                                    rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1.0, 1 / 0.7], ids=["scale_1", "scale_1/0.7"])
+    @pytest.mark.parametrize("activation, with_out_norm",
+                             [("relu", False), ("swish", False), ("swish", True)],
+                             ids=["relu", "swish", "swish_out_norm"])
+    def test_padded_stack_matches_composition(self, activation, with_out_norm, scale):
+        rng = np.random.default_rng(25)
+        layer = Encoder.build(tiny_config("conformer")).layers[0]
+        norm, p = randomize(layer.ffn1_norm, rng), randomize(layer.ffn1, rng)
+        out_norm = randomize(layer.out_norm, rng) if with_out_norm else None
+        x = rng.normal(size=(3, 6, 8))
+        out = _feed_forward(Tensor(x), norm, p, activation, scale, out_norm)
+        for row, length in enumerate(PADDED_LENGTHS):
+            real = x[row, :length]
+            expect = real + scale * reference_feed_forward(real, norm, p, activation)
+            if out_norm is not None:
+                expect = reference_norm(expect, out_norm)
+            np.testing.assert_allclose(out.data[row, :length], expect, rtol=0, atol=1e-12)
 
     def test_relu_zero_gradient_on_negative_inputs(self):
         # the pre-norm maps (-1, 0, 2) to about (-1.07, -0.27, 1.34), so the
@@ -385,7 +423,7 @@ class TestFusedGradients:
     the primitive tolerance, on one utterance and on a stack of two."""
 
     @staticmethod
-    def worst_error(block, shape, seed):
+    def worst_error(block, shape, seed, scale=1.0, padding=None):
         rng = np.random.default_rng(seed)
         layer = Encoder.build(tiny_config("conformer", d_model=shape[-1])).layers[0]
         x = Tensor(rng.uniform(-2, 2, size=shape), requires_grad=True)
@@ -394,17 +432,17 @@ class TestFusedGradients:
             norm, p = layer.att_norm, layer.attention
 
             def fn():
-                return self_attention(x, norm, p, n_heads=2)
+                return self_attention(x, norm, p, 2, scale, padding)
         elif block == "conv":
             norm, p = layer.conv_norm, layer.conv
 
             def fn():
-                return _conv_module(x, norm, p)
+                return _conv_module(x, norm, p, scale, padding)
         else:
             norm, p = layer.ffn1_norm, layer.ffn1
 
             def fn():
-                return _feed_forward(x, norm, p, block)
+                return _feed_forward(x, norm, p, block, scale)
         randomize(norm, rng)
         randomize(p, rng)
         params = {"x": x, **dict(_named_tensors(norm, "pre_norm")),
@@ -418,6 +456,12 @@ class TestFusedGradients:
     @pytest.mark.parametrize("block", ["attention", "relu", "swish", "conv"])
     def test_gradcheck_stacked(self, block):
         assert self.worst_error(block, (2, 3, 4), 19) < 1e-6
+
+    @pytest.mark.parametrize("scale", [1.0, 1 / 0.7], ids=["scale_1", "scale_1/0.7"])
+    @pytest.mark.parametrize("block", ["attention", "relu", "swish", "conv"])
+    def test_gradcheck_padded_stack(self, block, scale):
+        padding = Padding.of(np.array([3, 2]), 3, np.float64)
+        assert self.worst_error(block, (2, 3, 4), 26, scale, padding) < 1e-6
 
 
 class TestStacked:

@@ -1,4 +1,5 @@
 import gc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -451,9 +452,13 @@ class TestEvaluate:
         b = evaluate_model(model, dev)
         assert a.rate == b.rate and a.decodes == b.decodes
 
-    @pytest.mark.parametrize("stack", [1, 2, ctclab.trainer.EVAL_STACK])
-    def test_mixed_lengths_decode_in_dataset_order(self, monkeypatch, stack):
-        monkeypatch.setattr(ctclab.trainer, "EVAL_STACK", stack)
+    # frame budgets over the mixed-length dev split below: 1 forwards each
+    # utterance alone, 12 cuts the three 6-frame utterances into stacks of
+    # two and one and forwards every longer one alone, and the default
+    # forwards each length's group whole
+    @pytest.mark.parametrize("frames", [1, 12, ctclab.trainer.EVAL_FRAMES])
+    def test_mixed_lengths_decode_in_dataset_order(self, monkeypatch, frames):
+        monkeypatch.setattr(ctclab.trainer, "EVAL_FRAMES", frames)
         cfg = tiny_cfg("task.dev_size=24\n")
         model = Model.from_run_config(cfg, dtype=np.float64)
         dev = generate_dataset(cfg.task, "dev")
@@ -463,6 +468,30 @@ class TestEvaluate:
         alone = [eval_decode(model.trace(utt.features), model.heads)[0] for utt in dev]
         assert result.decodes == alone and len(set(alone)) > 1
         assert evaluate_model(model, dev[::-1]).decodes == result.decodes[::-1]
+
+    @pytest.mark.parametrize("frames", [1, 12, 44, ctclab.trainer.EVAL_FRAMES])
+    def test_stacks_hold_one_length_within_the_frame_budget(self, monkeypatch, frames):
+        monkeypatch.setattr(ctclab.trainer, "EVAL_FRAMES", frames)
+        cfg = tiny_cfg("task.dev_size=24\n")
+        model = Model.from_run_config(cfg)
+        dev = generate_dataset(cfg.task, "dev")
+        shapes = []
+        trace = model.trace
+
+        def recording(features, *args, **kwargs):
+            shapes.append(np.shape(features))
+            return trace(features, *args, **kwargs)
+        monkeypatch.setattr(model, "trace", recording)
+        evaluate_model(model, dev)
+        counts = Counter(utt.features.shape[0] for utt in dev)
+        stacked = Counter()
+        for batch, steps, _ in shapes:
+            assert batch * steps <= frames or batch == 1
+            stacked[steps] += batch
+        assert stacked == counts
+        # each length's group is cut into as few stacks as the budget allows
+        assert len(shapes) == sum(-(-n // max(1, frames // steps))
+                                  for steps, n in counts.items())
 
     def test_load_state_rejects_name_mismatch(self):
         model = Model.from_run_config(tiny_cfg())
