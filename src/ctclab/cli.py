@@ -45,7 +45,7 @@ from .encoder import (  # noqa: E402
     _named_tensors,
     self_attention,
 )
-from .tensor import Tensor, add, gradcheck, mul, put_rows, sum_all, take  # noqa: E402
+from .tensor import Tensor, add, gradcheck, put_rows, take, weighted_sum  # noqa: E402
 from .trainer import (  # noqa: E402
     TrainingDiverged,
     average_checkpoints,
@@ -79,8 +79,8 @@ def _primitive_checks(rng):
         return Tensor(rng.uniform(-1, 1, size=shape), requires_grad=True)
 
     def weighted(fn, x):
-        w = Tensor(rng.uniform(-1, 1, size=fn(x).shape))
-        return lambda: sum_all(mul(fn(x), w))
+        w = rng.uniform(-1, 1, size=fn(x).shape)
+        return lambda: weighted_sum(fn(x), w)
 
     def norm():
         return Norm(Tensor(rng.uniform(0.5, 1.5, size=4), requires_grad=True),
@@ -141,13 +141,13 @@ def _composite_check(kind, num_layers, d_model, steps, rng):
                         seed=int(rng.integers(2**31)))
     enc = Encoder.build(cfg)
     head = CTCHead.build(d_model, 3, rng)
-    x = Tensor(rng.normal(size=(steps, 5)))
+    x = Tensor(rng.normal(size=(1, steps, 5)))
     labels = (1, 3)
     params = dict(enc.parameters())
     params.update({f"head.{k}": v for k, v in head.parameters().items()})
 
     def f():
-        return ctc_loss(head(enc.forward(x).final), labels)
+        return ctc_loss(take(head(enc.forward(x).final), 0), labels)
     return params, f
 
 
@@ -193,7 +193,7 @@ def cmd_eval(args) -> int:
 
 def cmd_decode(args) -> int:
     grid = read_logits_file(args.logits)
-    print(" ".join(str(t) for t in greedy_decode(grid)))
+    print(" ".join(str(t) for t in greedy_decode(grid[None])[0]))
     return 0
 
 

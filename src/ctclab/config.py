@@ -130,7 +130,8 @@ class RunConfig:
         except ValueError as err:
             raise ConfigError(str(err)) from None
         bounds = [("train.epochs", cfg.epochs, 0), ("train.batch", cfg.batch_size, 1),
-                  ("train.average_last", cfg.average_last, 1)]
+                  ("train.average_last", cfg.average_last, 1),
+                  ("train.seed", cfg.seed, 0), ("task.seed", cfg.task.seed, 0)]
         bounds += [(f"task.{split}_size", getattr(cfg.task, f"{split}_size"), 1)
                    for split in ("train", "dev", "test")]
         for key, value, least in bounds:

@@ -180,22 +180,21 @@ def ctc_loss_bruteforce(grid, labels: Sequence[int],
     return -math.log(total) if total > 0.0 else math.inf
 
 
-def greedy_decode(grid) -> tuple[int, ...] | list[tuple[int, ...]]:
+def greedy_decode(grid) -> list[tuple[int, ...]]:
     """Per-frame argmax followed by collapse; ties go to the lowest id.
 
-    A (T, V+1) grid gives its decode; a (B, T, V+1) stack gives one decode
-    per row, from one argmax over the stack: a frame's symbol is kept
-    where it is not the blank and differs from the frame before it."""
+    A (B, T, V+1) stack of grids gives one decode per row, from one argmax
+    over the stack: a frame's symbol is kept where it is not the blank and
+    differs from the frame before it."""
     arr = grid.data if isinstance(grid, Tensor) else np.asarray(grid, dtype=np.float64)
-    if arr.ndim not in (2, 3) or arr.shape[-1] < 2:
-        raise ValueError(f"grid must be (T, V+1) or (B, T, V+1), got shape {arr.shape}")
-    best = np.argmax(arr.reshape(-1, *arr.shape[-2:]), axis=-1)
+    if arr.ndim != 3 or arr.shape[-1] < 2:
+        raise ValueError(f"grid must be a (B, T, V+1) stack, got shape {arr.shape}")
+    best = np.argmax(arr, axis=-1)
     keep = best != BLANK
     keep[:, 1:] &= best[:, 1:] != best[:, :-1]
     tokens = best[keep].tolist()
     ends = np.cumsum(keep.sum(axis=1)).tolist()
-    rows = [tuple(tokens[start:end]) for start, end in zip([0] + ends, ends)]
-    return rows if arr.ndim == 3 else rows[0]
+    return [tuple(tokens[start:end]) for start, end in zip([0] + ends, ends)]
 
 
 class CTCHead:
@@ -215,8 +214,8 @@ class CTCHead:
                    Tensor(np.zeros(vocab + 1, dtype=dtype), requires_grad=True))
 
     def __call__(self, x: Tensor) -> Tensor:
-        """Log-posteriors of a (T, D) or (B, T, D) representation, recorded
-        as one tape entry."""
+        """Log-posteriors of a (B, T, D) stack of representations (or of
+        any (..., D) array), recorded as one tape entry."""
         if x.shape[-1] != self.weight.shape[0]:
             raise ValueError(
                 f"head expects width {self.weight.shape[0]}, got {x.shape[-1]}")

@@ -13,6 +13,10 @@ import numpy as np
 from .ctc import required_length
 
 SPLITS = ("train", "dev", "test")
+# Draws of one utterance before generation gives up: a config whose
+# utterances almost never fit their labels (at 1 frame per token, 2 token
+# ids and 40 tokens, one draw in 2**39 fits) would otherwise spin forever.
+MAX_DRAWS = 10_000
 
 
 @dataclass(frozen=True)
@@ -72,7 +76,7 @@ def generate_dataset(cfg: SyntheticTaskConfig, split: str,
     rng = np.random.default_rng([cfg.seed, 1 + SPLITS.index(split)])
     utterances = []
     for _ in range(cfg.size_of(split)):
-        while True:
+        for _ in range(MAX_DRAWS):
             length = int(rng.integers(cfg.min_label_length, cfg.max_label_length + 1))
             labels = tuple(int(t) for t in rng.integers(1, cfg.vocab + 1, size=length))
             durations = rng.integers(cfg.min_duration, cfg.max_duration + 1,
@@ -84,5 +88,10 @@ def generate_dataset(cfg: SyntheticTaskConfig, split: str,
             # ever produces an infeasible pair
             if frames.shape[0] >= required_length(labels):
                 break
+        else:
+            raise ValueError(
+                f"no utterance drawn from task.vocab, task.min_label..task.max_label "
+                f"and task.min_duration..task.max_duration fits its labels in "
+                f"{MAX_DRAWS} draws; with task.min_duration of 2 or more every draw fits")
         utterances.append(Utterance(frames.astype(dtype), labels))
     return utterances

@@ -17,13 +17,12 @@ plain numpy and each backward is analytic, so a Transformer layer costs two
 tape entries and a Conformer layer four, whatever the number of heads or
 kernel taps.  The input frontend is one entry too.
 
-Every op takes a (T, D) utterance or a (B, T, D) stack.  Evaluation stacks
-utterances of one length, so nothing is padded.  Training stacks a
-micro-batch padded to its longest utterance: a `Padding` masks the padded
-keys out of the attention softmax and zeroes the padded frames before the
-depthwise conv, so each row's real frames are computed as if alone.  At
-rank 2 every reshape onto the leading axis is a no-op view and the
-arithmetic is that of plain (T, D) products.
+Every op takes a (B, T, D) stack of utterances; one utterance is a stack
+of one row.  Evaluation stacks utterances of one length, so nothing is
+padded.  Training stacks a micro-batch padded to its longest utterance: a
+`Padding` masks the padded keys out of the attention softmax and zeroes
+the padded frames before the depthwise conv, so each row's real frames
+are computed as if alone.
 """
 from __future__ import annotations
 
@@ -89,15 +88,11 @@ def survival_probability(layer_index: int, num_layers: int, floor: float) -> flo
 
 @dataclass
 class LayerTrace:
-    """Per-layer outputs x_1..x_L and the keep/skip mask the draws gave
-    each, all ones for a forward without draws: for a (T, D) trace one 0/1
-    per layer, for a stack one such list per utterance."""
+    """Per-layer (B, T, D) outputs x_1..x_L, and the keep/skip mask the
+    draws gave: one list of L 0/1 entries per row, all ones for a forward
+    without draws."""
     states: list[Tensor]
-    skip_mask: list  # 1 = layer applied, 0 = skipped (identity)
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.states)
+    skip_mask: list[list[int]]  # 1 = layer applied, 0 = skipped (identity)
 
     @property
     def final(self) -> Tensor:
@@ -183,7 +178,7 @@ def _norm(v: np.ndarray, p: Norm):
 
 def _rows(m: np.ndarray) -> np.ndarray:
     """(..., D) -> (N, D): every position of every utterance in a stack as
-    one matrix, so each product is one 2-D matmul.  A no-op view at rank 2."""
+    one matrix, so each product is one 2-D matmul."""
     return m.reshape(-1, m.shape[-1])
 
 
@@ -225,12 +220,11 @@ class Padding:
 
 
 def self_attention(x: Tensor, norm: Norm, p: Attention, n_heads: int,
-                   branch_scale: float = 1.0, padding: Padding | None = None,
-                   return_weights: bool = False):
+                   branch_scale: float = 1.0, padding: Padding | None = None) -> Tensor:
     """Residual pre-norm multi-head attention, x + c * attention(norm(x)),
-    recorded as one tape entry.  `x` is (T, D) or a (B, T, D) stack and
-    `c` is `branch_scale`.  Each query attends to every key of its own
-    utterance, except the padded keys that `padding` marks.
+    recorded as one tape entry.  `x` is a (B, T, D) stack and `c` is
+    `branch_scale`.  Each query attends to every key of its own utterance,
+    except the padded keys that `padding` marks.
 
     The heads run as batched (..., H, T, d_h) products and the softmax
     subtracts each row's maximum, so extreme scores stay finite.  K^T, and
@@ -243,8 +237,7 @@ def self_attention(x: Tensor, norm: Norm, p: Attention, n_heads: int,
     dS = A * (dA - rowsum(dA * A)), dQ = dS K / sqrt(d_h) and
     dK = dS^T Q / sqrt(d_h).  `x` is an input twice, for the residual's
     adjoint and then for the block's, so the tape sums them in the order
-    of the separate add.  With `return_weights`, the (T, T) attention maps
-    come back too, one per utterance and head, as constant tensors.
+    of the separate add.
     """
     if x.data.ndim < 2:
         raise ValueError(f"self_attention expects a (..., T, D) input, got {x.shape}")
@@ -288,11 +281,8 @@ def self_attention(x: Tensor, norm: Norm, p: Attention, n_heads: int,
         return (g, dx.reshape(x.shape), dgain, dbias,
                 xn.T @ dq, dq.sum(axis=0), xn.T @ dk, dk.sum(axis=0),
                 xn.T @ dv, dv.sum(axis=0), context.T @ gb, gb.sum(axis=0))
-    out = record_op(out, (x, x, norm.gain, norm.bias, p.wq, p.bq, p.wk, p.bk, p.wv, p.bv,
-                          p.wo, p.bo), bfn)
-    if not return_weights:
-        return out
-    return out, [Tensor(a) for a in attn.reshape(-1, steps, steps)]
+    return record_op(out, (x, x, norm.gain, norm.bias, p.wq, p.bq, p.wk, p.bk, p.wv, p.bv,
+                           p.wo, p.bo), bfn)
 
 
 def _feed_forward(x: Tensor, norm: Norm, p: FeedForward, activation: str,
@@ -488,9 +478,9 @@ class Encoder:
         return self.frontend_w.dtype
 
     def input_frontend(self, x0: Tensor) -> Tensor:
-        """Linear projection of the raw (..., T, F) features plus the absolute
-        sinusoidal positional term, one (T, D) table for every utterance,
-        recorded as one tape entry."""
+        """Linear projection of a (B, T, F) stack of raw features plus the
+        absolute sinusoidal positional term, one (T, D) table for every
+        utterance, recorded as one tape entry."""
         if x0.shape[-1] != self.config.input_dim:
             raise ValueError(
                 f"expected input width {self.config.input_dim}, got {x0.shape[-1]}")
@@ -508,35 +498,31 @@ class Encoder:
                 draws: np.ndarray | None = None) -> LayerTrace:
         """Run the stack, recording every intermediate representation.
 
-        `x0` is one (T, F) utterance or a (B, T, F) stack of utterances
-        padded to the longest, whose frame counts `lengths` gives (all T
-        when omitted; a stack with draws needs them).  Each row's real
-        frames are forwarded as if alone: attention skips the padded keys
-        and the conv module the padded frames.
+        `x0` is a (B, T, F) stack of utterances padded to the longest,
+        whose frame counts `lengths` gives (every row's T when omitted).
+        Each row's real frames are forwarded as if alone: attention skips
+        the padded keys and the conv module the padded frames.
 
         The draws decide stochastic depth.  `draws` is a (B, L) array of
-        uniform draws, (1, L) for one utterance, and utterance b keeps
-        layer l when draws[b, l] < p_l.  A layer that every row keeps runs
-        on the whole stack and one that no row keeps is the identity; any
-        other runs on the rows that keep it, taken out with their own
-        padding and put back.  A kept layer scales its residual branches by
-        1/p_l.  Without draws nothing is skipped and the scale is 1.
+        uniform draws, and utterance b keeps layer l when draws[b, l] <
+        p_l.  A layer that every row keeps runs on the whole stack and one
+        that no row keeps is the identity; any other runs on the rows that
+        keep it, taken out with their own padding and put back.  A kept
+        layer scales its residual branches by 1/p_l.  Without draws
+        nothing is skipped and the scale is 1.
         """
         cfg = self.config
-        stacked = x0.data.ndim == 3
-        batch, steps = (x0.shape[0] if stacked else 1), x0.shape[-2]
-        padding = None
-        if lengths is not None:
-            lengths = np.asarray(lengths)
-            if lengths.shape != (batch,) or not ((1 <= lengths) & (lengths <= steps)).all():
-                raise ValueError(f"lengths {lengths.tolist()} do not fit a stack of "
-                                 f"{batch} rows of {steps} frames")
-            padding = Padding.of(lengths, steps, self.dtype)
+        if x0.data.ndim != 3:
+            raise ValueError(f"the encoder takes a (B, T, F) stack, got shape {x0.shape}")
+        batch, steps = x0.shape[:2]
+        lengths = np.full(batch, steps) if lengths is None else np.asarray(lengths)
+        if lengths.shape != (batch,) or not ((1 <= lengths) & (lengths <= steps)).all():
+            raise ValueError(f"lengths {lengths.tolist()} do not fit a stack of "
+                             f"{batch} rows of {steps} frames")
+        padding = Padding.of(lengths, steps, self.dtype)
         keep = np.ones((batch, cfg.num_layers), dtype=bool)
         scales = [1.0] * cfg.num_layers
         if draws is not None:
-            if stacked and lengths is None:
-                raise ValueError("a stack with draws needs its lengths")
             draws = np.asarray(draws)
             if draws.shape != keep.shape:
                 raise ValueError(f"need {keep.shape} draws, got {draws.shape}")
@@ -556,8 +542,7 @@ class Encoder:
                                    Padding.of(lengths[rows], steps, self.dtype))
                 x = put_rows(x, rows, kept)
             states.append(x)
-        mask = keep.astype(int).tolist()
-        return LayerTrace(states, mask if stacked else mask[0])
+        return LayerTrace(states, keep.astype(int).tolist())
 
     def parameters(self) -> dict[str, Tensor]:
         named = {"frontend.weight": self.frontend_w, "frontend.bias": self.frontend_b}

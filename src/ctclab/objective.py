@@ -133,65 +133,51 @@ class CTCHeads:
         return named
 
 
-def total_loss(trace: LayerTrace, labels: Sequence[int],
-               spec: IntermediateLossSpec, heads: CTCHeads,
-               rng: np.random.Generator | None = None,
-               plan: ObjectivePlan | None = None) -> LossBreakdown:
-    """Compose the training loss for one utterance from its (T, D) trace.
-
-    With variant none (or weight 0 and no stochastic draw) the result is
-    bit-identical to the plain final-layer CTC loss.  Pass a precomputed
-    `plan` to share one step's draws across a batch; otherwise the rng is
-    consumed here.
-    """
-    if plan is None:
-        plan = plan_step(spec, trace.num_layers, rng)
-    return _mix(heads.final(trace.final),
-                [(pos, heads.intermediate(trace.states[pos - 1])) for pos in plan.positions],
-                labels, plan)
-
-
 def stack_losses(trace: LayerTrace, lengths: Sequence[int],
                  labels: Sequence[Sequence[int]], heads: CTCHeads,
                  plan: ObjectivePlan) -> list[LossBreakdown | None]:
-    """The `total_loss` of each utterance of a padded (B, T, D) trace, whose
-    rows are `lengths` frames long, or None for an utterance whose target
-    its frames cannot carry.
+    """The training loss of each utterance of a padded (B, T, D) trace,
+    whose rows are `lengths` frames long, or None for an utterance whose
+    target its frames cannot carry.
 
     Each head runs once over the whole stack; each utterance's grid is then
-    its own (T_b, V+1) rows, so every CTC call sees the unpadded grid.
+    its own (T_b, V+1) rows, so every CTC call sees the unpadded grid.  An
+    utterance's loss is the plan's weighted sum of its final and
+    intermediate CTC losses, one tape entry over the losses whose weight is
+    not zero.  Every grid's loss is computed, so the breakdown reports each.
     """
-    final = heads.final(trace.final)
-    inter = [(pos, heads.intermediate(trace.states[pos - 1])) for pos in plan.positions]
-    losses: list[LossBreakdown | None] = []
+    grids = [heads.final(trace.final)]
+    grids += [heads.intermediate(trace.states[pos - 1]) for pos in plan.positions]
+    breakdowns: list[LossBreakdown | None] = []
     for row, (length, target) in enumerate(zip(lengths, labels)):
-        frames = (row, slice(length))
+        parts = [take(grid, (row, slice(length))) for grid in grids]
         try:
-            losses.append(_mix(take(final, frames),
-                               [(pos, take(grid, frames)) for pos, grid in inter],
-                               target, plan))
+            losses = [ctc_loss(part, target) for part in parts]
         except InfeasibleTargetError:
-            losses.append(None)
-    return losses
+            breakdowns.append(None)
+            continue
+        terms = [(w, loss) for w, loss in zip(plan.weights, losses) if w]
+        total = record_op(sum(w * loss.data for w, loss in terms), [loss for _, loss in terms],
+                          lambda g, terms=terms: [g * w for w, _ in terms])
+        breakdowns.append(LossBreakdown(total, losses[0].item(),
+                                        [(pos, loss.item()) for pos, loss
+                                         in zip(plan.positions, losses[1:])]))
+    return breakdowns
 
 
-def _mix(final_grid: Tensor, inter_grids: list[tuple[int, Tensor]], labels: Sequence[int],
-         plan: ObjectivePlan) -> LossBreakdown:
-    """One utterance's loss from its final grid and its grid at each
-    intermediate position: the plan's weighted sum of their CTC losses, one
-    tape entry over the losses whose weight is not zero.  Every grid's loss
-    is computed, so the breakdown reports each."""
-    losses = [ctc_loss(grid, labels) for grid in [final_grid] + [g for _, g in inter_grids]]
-    terms = [(w, loss) for w, loss in zip(plan.weights, losses) if w]
-    total = record_op(sum(w * loss.data for w, loss in terms), [loss for _, loss in terms],
-                      lambda g: [g * w for w, _ in terms])
-    return LossBreakdown(total, losses[0].item(),
-                         [(pos, loss.item()) for (pos, _), loss in zip(inter_grids, losses[1:])])
+def total_loss(trace: LayerTrace, labels: Sequence[int], spec: IntermediateLossSpec,
+               heads: CTCHeads, plan: ObjectivePlan) -> LossBreakdown:
+    """The loss of the utterance of a one-row trace: row 0 of `stack_losses`,
+    or InfeasibleTargetError where its frames cannot carry `labels`.  The
+    program does not call it, and `spec` is unused (`plan` carries it): it
+    is kept for `bench/run.py`'s directional gradient check."""
+    (breakdown,) = stack_losses(trace, [trace.final.shape[1]], [labels], heads, plan)
+    if breakdown is None:
+        raise InfeasibleTargetError(f"{trace.final.shape[1]} frames cannot carry {labels}")
+    return breakdown
 
 
 def eval_decode(trace: LayerTrace, heads: CTCHeads) -> list[tuple[int, ...]]:
-    """Greedy decode of each utterance in a (T, D) or (B, T, D) trace, from
-    the final representation only; intermediate heads play no part at test
-    time."""
-    log_post = heads.final(trace.final).data
-    return greedy_decode(log_post.reshape(-1, *log_post.shape[-2:]))
+    """Greedy decode of each utterance in a (B, T, D) trace, from the final
+    representation only; intermediate heads play no part at test time."""
+    return greedy_decode(heads.final(trace.final).data)

@@ -5,16 +5,17 @@ comparisons) and float32 for training and checkpoint storage.  Every op
 checks its output for NaN/Inf; producing a non-finite value from finite
 inputs is a contract violation and raises FloatingPointError.
 
-The primitives here are the few the rest of the program composes: add and
-mul (of two tensors of one shape), take (an indexed part, such as one
-utterance's frames or some rows of a stack), put_rows (a stack with some
-rows replaced) and sum_all.  Each takes a (T, D) array or a (B, T, D)
-stack of them; at rank 2 the arithmetic is that of plain 2-D arrays.  Larger blocks with an analytic backward (the input frontend, the
-encoder's residual sub-blocks and the CTC head, each of which takes a whole
-training micro-batch as one stack) register themselves through `record_op`
-and are one tape entry each; the encoder's share the numpy helpers
-`_sigmoid`, `_norm_forward` and `_norm_backward`, and the softmaxes of
-attention and the CTC head share `_row_max`.
+The primitives here are the few the rest of the program composes: take
+(an indexed part, such as one utterance's frames or some rows of a
+stack), put_rows (a stack with some rows replaced) and weighted_sum (the
+sum of a tensor's elements, each times a constant weight).  add, of two
+tensors of one shape, is kept only for `bench/run.py`.  Larger blocks
+with an analytic backward (the input frontend, the encoder's residual
+sub-blocks and the CTC head, each of which takes a whole training
+micro-batch as one (B, T, D) stack) register themselves through
+`record_op` and are one tape entry each; the encoder's share the numpy
+helpers `_sigmoid`, `_norm_forward` and `_norm_backward`, and the
+softmaxes of attention and the CTC head share `_row_max`.
 
 A training step records one tape per micro-batch: a padded stack of
 utterances, forwarded and differentiated together.  An entry may list the
@@ -200,18 +201,12 @@ def _check_same_dtype(a: Tensor, b: Tensor, op: str) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of two tensors of one shape and dtype; nothing is
-    broadcast."""
+    broadcast.  The program itself does not call it: it is kept for
+    `bench/run.py`, which sums per-utterance losses with it."""
     _check_same_dtype(a, b, "add")
     if a.shape != b.shape:
         raise ValueError(f"add: shape mismatch {a.shape} vs {b.shape}")
     return _finish(a.data + b.data, (a, b), lambda g: (g, g))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_dtype(a, b, "mul")
-    if a.shape != b.shape:
-        raise ValueError(f"mul: shape mismatch {a.shape} vs {b.shape}")
-    return _finish(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def _sigmoid(v: np.ndarray) -> np.ndarray:
@@ -282,10 +277,13 @@ def put_rows(x: Tensor, rows: np.ndarray, y: Tensor) -> Tensor:
     return _finish(out, (x, y), bfn)
 
 
-def sum_all(x: Tensor) -> Tensor:
-    """Sum of all elements, as a scalar tensor."""
-    return _finish(np.asarray(x.data.sum(), dtype=x.data.dtype), (x,),
-                   lambda g: (np.ones_like(x.data) * g,))
+def weighted_sum(x: Tensor, w: np.ndarray) -> Tensor:
+    """The sum of w * x as a 0-d tensor, for a constant array `w` of x's
+    shape; its backward is g * w."""
+    w = np.asarray(w, dtype=x.dtype)
+    if w.shape != x.shape:
+        raise ValueError(f"weighted_sum: weights of shape {w.shape} for {x.shape}")
+    return _finish(np.asarray((x.data * w).sum(), dtype=x.dtype), (x,), lambda g: (g * w,))
 
 
 # ---------------------------------------------------------------------------

@@ -97,10 +97,13 @@ class Model:
 
     def trace(self, features: np.ndarray, lengths=None,
               draws: np.ndarray | None = None) -> LayerTrace:
-        """Forward (T, F) features or a (B, T, F) stack, with the lengths
-        and stochastic-depth draws `Encoder.forward` takes."""
-        x0 = Tensor(np.asarray(features, dtype=self.encoder.dtype))
-        return self.encoder.forward(x0, lengths=lengths, draws=draws)
+        """Forward a (B, T, F) stack, with the lengths and stochastic-depth
+        draws `Encoder.forward` takes.  (T, F) features are viewed as a
+        one-row stack: the program passes stacks only, and `bench/run.py`
+        traces single utterances."""
+        x0 = np.asarray(features, dtype=self.encoder.dtype)
+        return self.encoder.forward(Tensor(x0.reshape(-1, *x0.shape[-2:])),
+                                    lengths=lengths, draws=draws)
 
 
 # --- optimizer ---------------------------------------------------------------

@@ -19,8 +19,14 @@ from ctclab.ctc import CTCHead, ctc_loss, oracle_trials
 from ctclab.data import generate_dataset
 from ctclab.encoder import Encoder, EncoderConfig, survival_probability
 from ctclab.metrics import edit_distance
-from ctclab.objective import CTCHeads, IntermediateLossSpec, resolve_positions, total_loss
-from ctclab.tensor import Tensor
+from ctclab.objective import (
+    CTCHeads,
+    IntermediateLossSpec,
+    plan_step,
+    resolve_positions,
+    stack_losses,
+)
+from ctclab.tensor import Tensor, take
 from ctclab.trainer import (
     Checkpoint,
     average_checkpoints,
@@ -62,13 +68,13 @@ def test_criterion_3_stochastic_depth_statistics():
     cfg = EncoderConfig(num_layers=12, d_model=2, n_heads=1, d_ff=2,
                         conv_kernel=3, survival_floor=0.7, input_dim=1, seed=0)
     enc = Encoder.build(cfg)
-    x = Tensor(np.zeros((1, 1)))
+    x = Tensor(np.zeros((1, 1, 1)))
     rng = np.random.default_rng(321)
     draws = 10000
     skipped = np.zeros(cfg.num_layers)
     for _ in range(draws):
         trace = enc.forward(x, draws=rng.random((1, cfg.num_layers)))
-        skipped += 1.0 - np.array(trace.skip_mask)
+        skipped += 1.0 - np.array(trace.skip_mask[0])
     deviations = [abs(skipped[l - 1] / draws - (1.0 - survival_probability(l, 12, 0.7)))
                   for l in range(1, 13)]
     rate_ok = max(deviations) < 0.02
@@ -76,7 +82,7 @@ def test_criterion_3_stochastic_depth_statistics():
     full = EncoderConfig(num_layers=3, d_model=8, n_heads=2, d_ff=12,
                          survival_floor=1.0, input_dim=4, seed=1)
     enc_full = Encoder.build(full)
-    xin = Tensor(np.random.default_rng(5).normal(size=(6, 4)))
+    xin = Tensor(np.random.default_rng(5).normal(size=(1, 6, 4)))
     train_states = enc_full.forward(
         xin, draws=np.random.default_rng(9).random((1, 3))).states
     eval_states = enc_full.forward(xin).states
@@ -93,7 +99,7 @@ def _frozen_model():
                         survival_floor=1.0, input_dim=5, seed=42)
     enc = Encoder.build(cfg)
     heads = CTCHeads.shared(CTCHead.build(8, 3, np.random.default_rng(43)))
-    x = Tensor(np.random.default_rng(44).normal(size=(6, 5)))
+    x = Tensor(np.random.default_rng(44).normal(size=(1, 6, 5)))
     return enc, heads, x, (1, 3)
 
 
@@ -103,19 +109,20 @@ def test_criterion_4_loss_composition():
     def trace():
         return enc.forward(x)
 
-    plain = ctc_loss(heads.final(trace().final), labels).item()
-    none_bd = total_loss(trace(), labels, IntermediateLossSpec("none"), heads)
-    zero_bd = total_loss(trace(), labels,
-                         IntermediateLossSpec("middle", weight=0.0), heads)
+    def loss(layers, spec, rng=None):  # the one utterance's row of stack_losses
+        (breakdown,) = stack_losses(layers, [6], [labels], heads, plan_step(spec, 4, rng))
+        return breakdown
+
+    plain = ctc_loss(take(heads.final(trace().final), 0), labels).item()
+    none_bd = loss(trace(), IntermediateLossSpec("none"))
+    zero_bd = loss(trace(), IntermediateLossSpec("middle", weight=0.0))
     bit_ok = none_bd.total.item() == plain and zero_bd.total.item() == plain
 
-    det = total_loss(trace(), labels, IntermediateLossSpec("middle", weight=0.3),
-                     heads).total.item()
+    det = loss(trace(), IntermediateLossSpec("middle", weight=0.3)).total.item()
     rng = np.random.default_rng(777)
     spec = IntermediateLossSpec("stochastic", weight=0.3)
     frozen = trace()
-    samples = np.array([total_loss(frozen, labels, spec, heads, rng).total.item()
-                        for _ in range(10000)])
+    samples = np.array([loss(frozen, spec, rng).total.item() for _ in range(10000)])
     stderr = samples.std(ddof=1) / np.sqrt(samples.size)
     mc_ok = abs(samples.mean() - det) < 2 * stderr
     report(4, bit_ok and mc_ok,

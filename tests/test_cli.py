@@ -115,13 +115,17 @@ class TestTrain:
         assert "model.depth" in capsys.readouterr().err
 
     def test_config_with_no_drawable_utterance_rejected(self, tmp_path, capsys):
-        # one token id and one frame per token: generation would never end
-        config = tmp_path / "bad.cfg"
-        config.write_text("task.vocab=1\ntask.min_duration=1\ntask.max_duration=1\n")
-        code = main(["train", "--config", str(config), "--out", str(tmp_path / "out")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        # one token id and one frame per token: generation would never end;
+        # two token ids and 40 one-frame tokens: one draw in 2**39 fits
+        for text in ("task.vocab=1\ntask.min_duration=1\ntask.max_duration=1\n",
+                     "task.vocab=2\ntask.min_duration=1\ntask.max_duration=1\n"
+                     "task.min_label=40\ntask.max_label=40\n"):
+            config = tmp_path / "bad.cfg"
+            config.write_text(text)
+            code = main(["train", "--config", str(config), "--out", str(tmp_path / "out")])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("text", [
         "loss.variant=lower\nloss.position=9\n",
@@ -129,6 +133,8 @@ class TestTrain:
         "model.layers=1\n",
         "task.train_size=0\n",
         "task.dev_size=0\n",
+        "train.seed=-1\n",
+        "task.seed=-1\n",
     ])
     def test_config_rejected_before_any_output(self, tmp_path, text, capsys):
         config = tmp_path / "bad.cfg"
@@ -137,6 +143,8 @@ class TestTrain:
         assert main(["train", "--config", str(config), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        if "seed" in text:
+            assert text.partition("=")[0] in err
         assert not out.exists() or not any(out.iterdir())
 
     def test_missing_required_argument(self, capsys):
@@ -294,7 +302,7 @@ class TestDecode:
         write_logits_file(path, grid)
         assert main(["decode", "--logits", str(path)]) == 0
         printed = capsys.readouterr().out.split()
-        assert tuple(int(t) for t in printed) == greedy_decode(grid)
+        assert [tuple(int(t) for t in printed)] == greedy_decode(grid[None])
 
     @pytest.mark.parametrize("row", ["nan 0 0", "0 inf 0", "+inf 0 0"])
     def test_nan_and_positive_infinity_rejected(self, tmp_path, row, capsys):

@@ -266,21 +266,21 @@ class TestGreedyDecode:
         grid = np.full((4, 3), -10.0)
         for t, sym in enumerate([1, 1, 0, 2]):
             grid[t, sym] = 0.0
-        assert greedy_decode(grid) == (1, 2)
+        assert greedy_decode(grid[None]) == [(1, 2)]
 
     def test_blank_dominant(self):
         grid = np.zeros((5, 3))
         grid[:, BLANK] = 1.0
-        assert greedy_decode(grid) == ()
+        assert greedy_decode(grid[None]) == [()]
 
     def test_matches_collapse_of_argmax(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
             grid = random_grid(rng, int(rng.integers(1, 9)), int(rng.integers(1, 5)))
-            assert greedy_decode(grid) == collapse(np.argmax(grid, axis=1))
+            assert greedy_decode(grid[None]) == [collapse(np.argmax(grid, axis=1))]
 
     def test_tie_breaks_to_lowest_id(self):
-        assert greedy_decode(uniform_grid(2, 1)) == ()
+        assert greedy_decode(uniform_grid(2, 1)[None]) == [()]
 
     @given(st.data())
     def test_stack_rows_match_collapse_of_argmax(self, data):
@@ -301,11 +301,12 @@ class TestGreedyDecode:
     def test_stack_edge_shapes(self, rows, steps):
         rng = np.random.default_rng(12)
         stack = np.stack([random_grid(rng, steps, 3) for _ in range(rows)])
-        assert greedy_decode(stack) == [greedy_decode(grid) for grid in stack]
-        assert greedy_decode(stack[0]) == collapse(np.argmax(stack[0], axis=1))
+        assert greedy_decode(stack) == [greedy_decode(grid[None])[0] for grid in stack]
+        assert greedy_decode(stack[:1]) == [collapse(np.argmax(stack[0], axis=1))]
 
     def test_rejects_other_ranks(self):
-        for shape in [(6,), (2, 2, 3, 4), (3, 1)]:
+        # (4, 3) is one grid, not a stack of them
+        for shape in [(6,), (2, 2, 3, 4), (3, 1), (4, 3)]:
             with pytest.raises(ValueError):
                 greedy_decode(np.zeros(shape))
 
@@ -349,7 +350,7 @@ class TestLogitsFile:
         write_logits_file(path, grid)
         loaded = read_logits_file(path)
         np.testing.assert_array_equal(loaded, grid)
-        assert greedy_decode(loaded) == greedy_decode(grid)
+        assert greedy_decode(loaded[None]) == greedy_decode(grid[None])
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -20,7 +20,7 @@ from ctclab.encoder import (
     survival_probability,
     transformer_layer,
 )
-from ctclab.tensor import Tape, Tensor, _norm_forward, gradcheck, mul, sum_all
+from ctclab.tensor import Tape, Tensor, _norm_forward, gradcheck, take, weighted_sum
 
 
 def tiny_config(kind="transformer", **kw):
@@ -169,9 +169,8 @@ class TestFrontend:
         rng = np.random.default_rng(0)
         enc = Encoder.build(tiny_config())
         x = Tensor(rng.uniform(-1, 1, size=(3, 5)), requires_grad=True)
-        w = Tensor(rng.uniform(-1, 1, size=(3, 8)))
-        from ctclab.tensor import mul, sum_all
-        report = gradcheck(lambda: sum_all(mul(enc.input_frontend(x), w)),
+        w = rng.uniform(-1, 1, size=(3, 8))
+        report = gradcheck(lambda: weighted_sum(enc.input_frontend(x), w),
                            {"x": x, "frontend.w": enc.frontend_w})
         assert report.max_rel_error < 1e-6
 
@@ -223,15 +222,6 @@ class TestSelfAttention:
         expect = (xn @ p.wv.data + p.bv.data) @ p.wo.data + p.bo.data
         np.testing.assert_allclose(out.data, x.data + expect, atol=1e-12)
 
-    def test_attention_rows_sum_to_one(self):
-        layer = Encoder.build(tiny_config()).layers[0]
-        x = Tensor(np.random.default_rng(6).normal(size=(7, 8)))
-        _, weights = self_attention(x, layer.att_norm, layer.attention, n_heads=2,
-                                    return_weights=True)
-        for attn in weights:
-            np.testing.assert_allclose(attn.data.sum(axis=-1), np.ones(7),
-                                       rtol=0, atol=1e-12)
-
     def test_matches_per_head_composition(self):
         rng = np.random.default_rng(14)
         layer = Encoder.build(tiny_config()).layers[0]
@@ -257,18 +247,14 @@ class TestSelfAttention:
                 rtol=0, atol=1e-12)
 
     def test_equal_scores_average_the_values(self):
-        # zero queries give every key the same score, so each row of each
-        # map is uniform and every position gets the mean value
+        # zero queries give every key the same score, so every position
+        # gets the mean value
         rng = np.random.default_rng(15)
         layer = Encoder.build(tiny_config()).layers[0]
         norm, p = randomize(layer.att_norm, rng), randomize(layer.attention, rng)
         zero_out(p.wq, p.bq)
         x = rng.normal(size=(5, 8))
-        out, weights = self_attention(Tensor(x), norm, p, n_heads=2,
-                                      return_weights=True)
-        for attn in weights:
-            np.testing.assert_allclose(attn.data, np.full((5, 5), 0.2),
-                                       rtol=0, atol=1e-15)
+        out = self_attention(Tensor(x), norm, p, n_heads=2)
         mean_value = (reference_norm(x, norm) @ p.wv.data + p.bv.data).mean(axis=0)
         expect = np.tile(mean_value @ p.wo.data + p.bo.data, (5, 1))
         np.testing.assert_allclose(out.data, x + expect, rtol=0, atol=1e-12)
@@ -277,7 +263,8 @@ class TestSelfAttention:
         # one head over rows that the pre-norm leaves as u, w and -u, with u
         # and w orthogonal: score rows (1000, 0, -1000), (0, 1000, 0) and
         # (-1000, 0, 1000) to within the norm's eps.  The max-subtracted
-        # softmax gives exact one-hot maps, and the backward stays finite
+        # softmax gives exact one-hot maps, so each output is its own value
+        # row, and the backward stays finite
         a = np.sqrt(500.0)
         eye, zero = np.eye(4), np.zeros(4)
         p = Attention(*(Tensor(m, requires_grad=True) for m in
@@ -285,12 +272,11 @@ class TestSelfAttention:
         norm = unit_norm(4)
         x = Tensor([[1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0],
                     [-1.0, 1.0, -1.0, 1.0]], requires_grad=True)
-        w = Tensor(np.random.default_rng(16).uniform(-1, 1, size=(3, 4)))
+        w = np.random.default_rng(16).uniform(-1, 1, size=(3, 4))
         with Tape() as tape:
-            out, weights = self_attention(x, norm, p, n_heads=1, return_weights=True)
-            loss = sum_all(mul(out, w))
+            out = self_attention(x, norm, p, n_heads=1)
+            loss = weighted_sum(out, w)
         tape.backward(loss)
-        np.testing.assert_allclose(weights[0].data, np.eye(3), rtol=0, atol=1e-300)
         np.testing.assert_array_equal(out.data, x.data + layer_norm(x.data, norm))
         for t in (x, norm.gain, norm.bias, *vars(p).values()):
             assert np.isfinite(t.grad).all()
@@ -345,7 +331,7 @@ class TestFeedForward:
         x = Tensor([[-1.0, 0.0, 2.0]], requires_grad=True)
         with Tape() as tape:
             out = _feed_forward(x, norm, p, "relu")
-            loss = sum_all(out)
+            loss = weighted_sum(out, np.ones(out.shape))
         tape.backward(loss)
         xn = layer_norm(x.data, norm)
         np.testing.assert_array_equal(out.data, x.data + np.maximum(xn, 0.0))
@@ -427,7 +413,7 @@ class TestFusedGradients:
         rng = np.random.default_rng(seed)
         layer = Encoder.build(tiny_config("conformer", d_model=shape[-1])).layers[0]
         x = Tensor(rng.uniform(-2, 2, size=shape), requires_grad=True)
-        w = Tensor(rng.uniform(-1, 1, size=shape))
+        w = rng.uniform(-1, 1, size=shape)
         if block == "attention":
             norm, p = layer.att_norm, layer.attention
 
@@ -447,7 +433,7 @@ class TestFusedGradients:
         randomize(p, rng)
         params = {"x": x, **dict(_named_tensors(norm, "pre_norm")),
                   **dict(_named_tensors(p, "block"))}
-        return gradcheck(lambda: sum_all(mul(fn(), w)), params).max_rel_error
+        return gradcheck(lambda: weighted_sum(fn(), w), params).max_rel_error
 
     @pytest.mark.parametrize("block", ["attention", "relu", "swish", "conv"])
     def test_gradcheck(self, block):
@@ -479,28 +465,22 @@ class TestStacked:
         stacked = enc.forward(Tensor(feats))
         log_post = head(stacked.final).data
         assert stacked.final.shape == (3, 6, 8) and log_post.shape == (3, 6, 4)
-        for b, features in enumerate(feats):
-            alone = enc.forward(Tensor(features))
+        for b in range(len(feats)):
+            alone = enc.forward(Tensor(feats[b:b + 1]))
             for s, a in zip(stacked.states, alone.states):
-                np.testing.assert_allclose(s.data[b], a.data, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(log_post[b], head(alone.final).data,
+                np.testing.assert_allclose(s.data[b], a.data[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(log_post[b], head(alone.final).data[0],
                                        rtol=0, atol=1e-12)
 
     def test_frontend_gradcheck(self):
         rng = np.random.default_rng(21)
         enc = Encoder.build(tiny_config(input_dim=4))
         x = Tensor(rng.uniform(-1, 1, size=(2, 3, 4)), requires_grad=True)
-        w = Tensor(rng.uniform(-1, 1, size=(2, 3, 8)))
-        report = gradcheck(lambda: sum_all(mul(enc.input_frontend(x), w)),
+        w = rng.uniform(-1, 1, size=(2, 3, 8))
+        report = gradcheck(lambda: weighted_sum(enc.input_frontend(x), w),
                            {"x": x, "frontend.w": enc.frontend_w,
                             "frontend.b": enc.frontend_b})
         assert report.max_rel_error < 1e-6
-
-    def test_train_mode_rejects_a_stack(self):
-        enc = Encoder.build(tiny_config())
-        with pytest.raises(ValueError):
-            enc.forward(Tensor(np.ones((2, 3, 5))),
-                        draws=np.random.default_rng(0).random((2, 2)))
 
 
 class TestKeptRows:
@@ -534,10 +514,10 @@ class TestKeptRows:
                 assert np.array_equal(state.data[row], prev[row])
             prev = state.data
         for row, length in enumerate(self.LENGTHS):
-            alone = enc.forward(Tensor(feats[row, :length]),
+            alone = enc.forward(Tensor(feats[row:row + 1, :length]),
                                 draws=self.DRAWS[row:row + 1])
             for s, a in zip(trace.states, alone.states):
-                np.testing.assert_allclose(s.data[row, :length], a.data,
+                np.testing.assert_allclose(s.data[row, :length], a.data[0],
                                            rtol=0, atol=1e-12)
 
     def test_layer_runs_on_the_keeping_rows_alone(self, monkeypatch):
@@ -563,24 +543,29 @@ class TestKeptRows:
 class TestForward:
     def test_trace_shapes(self):
         enc = Encoder.build(tiny_config())
-        trace = enc.forward(Tensor(np.ones((9, 5))))
+        trace = enc.forward(Tensor(np.ones((1, 9, 5))))
         assert isinstance(trace, LayerTrace)
-        assert trace.num_layers == 2
-        assert all(s.shape == (9, 8) for s in trace.states)
-        assert trace.skip_mask == [1, 1]
+        assert len(trace.states) == 2
+        assert all(s.shape == (1, 9, 8) for s in trace.states)
+        assert trace.skip_mask == [[1, 1]]
+
+    def test_rejects_an_unstacked_utterance(self):
+        enc = Encoder.build(tiny_config())
+        with pytest.raises(ValueError, match="stack"):
+            enc.forward(Tensor(np.ones((9, 5))))
 
     def test_survival_one_train_equals_eval_bitwise(self):
         enc = Encoder.build(tiny_config(survival_floor=1.0))
-        x = Tensor(np.random.default_rng(9).normal(size=(5, 5)))
+        x = Tensor(np.random.default_rng(9).normal(size=(1, 5, 5)))
         train = enc.forward(x, draws=np.random.default_rng(0).random((1, 2)))
         ev = enc.forward(x)
         for a, b in zip(train.states, ev.states):
             assert (a.data == b.data).all()
-        assert train.skip_mask == [1, 1]
+        assert train.skip_mask == [[1, 1]]
 
     def test_seeded_forward_reproducible(self):
         enc = Encoder.build(tiny_config(num_layers=4, survival_floor=0.5))
-        x = Tensor(np.random.default_rng(10).normal(size=(4, 5)))
+        x = Tensor(np.random.default_rng(10).normal(size=(1, 4, 5)))
         a = enc.forward(x, draws=np.random.default_rng(77).random((1, 4)))
         b = enc.forward(x, draws=np.random.default_rng(77).random((1, 4)))
         assert a.skip_mask == b.skip_mask
@@ -591,11 +576,11 @@ class TestForward:
         # survival floor so low that skips are common; a skipped layer must
         # pass its input through unchanged
         enc = Encoder.build(tiny_config(num_layers=6, survival_floor=0.05))
-        x = Tensor(np.random.default_rng(11).normal(size=(3, 5)))
+        x = Tensor(np.random.default_rng(11).normal(size=(1, 3, 5)))
         trace = enc.forward(x, draws=np.random.default_rng(3).random((1, 6)))
-        assert 0 in trace.skip_mask  # the draw actually skipped something
+        assert 0 in trace.skip_mask[0]  # the draw actually skipped something
         prev = enc.input_frontend(x)
-        for state, kept in zip(trace.states, trace.skip_mask):
+        for state, kept in zip(trace.states, trace.skip_mask[0]):
             if not kept:
                 assert state is prev
             prev = state
@@ -622,14 +607,14 @@ class TestEncoderGradients:
         # full 2-layer encoder + CTC head composite against central differences
         enc = Encoder.build(tiny_config(kind))
         head = CTCHead.build(8, 3, np.random.default_rng(12))
-        x = Tensor(np.random.default_rng(13).normal(size=(4, 5)))
+        x = Tensor(np.random.default_rng(13).normal(size=(1, 4, 5)))
         labels = (1, 3)
         params = dict(enc.parameters())
         params.update({f"head.{k}": v for k, v in head.parameters().items()})
 
         def f():
             trace = enc.forward(x)
-            return ctc_loss(head(trace.final), labels)
+            return ctc_loss(take(head(trace.final), 0), labels)
         report = gradcheck(f, params)
         assert report.max_rel_error < 1e-4
 

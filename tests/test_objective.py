@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ctclab.ctc import CTCHead, ctc_loss
+from ctclab.ctc import CTCHead, InfeasibleTargetError, ctc_loss, greedy_decode
 from ctclab.encoder import Encoder, EncoderConfig
 from ctclab.objective import (
     CTCHeads,
@@ -11,9 +11,10 @@ from ctclab.objective import (
     eval_decode,
     plan_step,
     resolve_positions,
+    stack_losses,
     total_loss,
 )
-from ctclab.tensor import Tape, Tensor
+from ctclab.tensor import Tape, Tensor, take
 
 
 def make_model(num_layers=4, seed=42, vocab=3):
@@ -103,35 +104,42 @@ class TestResolvePositions:
 
 
 class TestTotalLoss:
+    """Each utterance's loss, read as row 0 of `stack_losses` on a one-row
+    trace, under a plan from `plan_step`."""
+
     def setup_method(self):
         self.enc, self.heads = make_model()
-        self.x = Tensor(np.random.default_rng(7).normal(size=(6, 5)))
+        self.x = Tensor(np.random.default_rng(7).normal(size=(1, 6, 5)))
         self.labels = (1, 3)
 
     def trace(self):
         return self.enc.forward(self.x)
 
+    def loss(self, trace, spec, rng=None):
+        plan = plan_step(spec, len(trace.states), rng)
+        (breakdown,) = stack_losses(trace, [6], [self.labels], self.heads, plan)
+        return breakdown
+
     def plain_ctc(self):
-        return ctc_loss(self.heads.final(self.trace().final), self.labels).item()
+        return ctc_loss(take(self.heads.final(self.trace().final), 0), self.labels).item()
 
     def test_variant_none_bit_identical(self):
-        bd = total_loss(self.trace(), self.labels,
-                        IntermediateLossSpec("none"), self.heads)
+        bd = self.loss(self.trace(), IntermediateLossSpec("none"))
         assert bd.total.item() == self.plain_ctc()
         assert bd.ctc_intermediate == []
 
     def test_weight_zero_bit_identical(self):
-        bd = total_loss(self.trace(), self.labels,
-                        IntermediateLossSpec("middle", weight=0.0), self.heads)
+        bd = self.loss(self.trace(), IntermediateLossSpec("middle", weight=0.0))
         assert bd.total.item() == self.plain_ctc()
         assert len(bd.ctc_intermediate) == 1  # still reported
 
     def test_middle_mix_recomputed_independently(self):
         spec = IntermediateLossSpec("middle", weight=0.3)
         trace = self.trace()
-        bd = total_loss(trace, self.labels, spec, self.heads)
-        final = ctc_loss(self.heads.final(trace.final), self.labels).item()
-        inter = ctc_loss(self.heads.intermediate(trace.states[1]), self.labels).item()
+        bd = self.loss(trace, spec)
+        final = ctc_loss(take(self.heads.final(trace.final), 0), self.labels).item()
+        inter = ctc_loss(take(self.heads.intermediate(trace.states[1]), 0),
+                         self.labels).item()
         assert bd.ctc_final == final
         assert bd.ctc_intermediate == [(2, inter)]
         assert bd.total.item() == pytest.approx(0.7 * final + 0.3 * inter, rel=1e-15)
@@ -139,7 +147,7 @@ class TestTotalLoss:
     def test_multiple_averages_positions(self):
         spec = IntermediateLossSpec("multiple", weight=0.3, count=2)
         trace = self.trace()
-        bd = total_loss(trace, self.labels, spec, self.heads)
+        bd = self.loss(trace, spec)
         positions = [p for p, _ in bd.ctc_intermediate]
         assert positions == [1, 2]  # floor(k*4/3) for k=1,2
         mean_inter = np.mean([v for _, v in bd.ctc_intermediate])
@@ -150,12 +158,11 @@ class TestTotalLoss:
         spec = IntermediateLossSpec("middle", weight=0.3)
         enc, heads = self.enc, self.heads
 
-        g_total = grads_of(enc, heads, lambda: total_loss(
-            enc.forward(self.x), self.labels, spec, heads).total)
+        g_total = grads_of(enc, heads, lambda: self.loss(enc.forward(self.x), spec).total)
         g_final = grads_of(enc, heads, lambda: ctc_loss(
-            heads.final(enc.forward(self.x).final), self.labels))
+            take(heads.final(enc.forward(self.x).final), 0), self.labels))
         g_inter = grads_of(enc, heads, lambda: ctc_loss(
-            heads.intermediate(enc.forward(self.x).states[1]),
+            take(heads.intermediate(enc.forward(self.x).states[1]), 0),
             self.labels))
 
         for name in g_total:
@@ -169,8 +176,8 @@ class TestTotalLoss:
         seen = set()
         rng = np.random.default_rng(5)
         for _ in range(50):
-            plan = plan_step(spec, trace.num_layers, rng)
-            bd = total_loss(trace, self.labels, spec, self.heads, plan=plan)
+            plan = plan_step(spec, len(trace.states), rng)
+            (bd,) = stack_losses(trace, [6], [self.labels], self.heads, plan)
             assert plan.branch in (0, 1)
             seen.add(plan.branch)
             expect = bd.ctc_intermediate[0][1] if plan.branch else bd.ctc_final
@@ -182,13 +189,9 @@ class TestTotalLoss:
         # weighted sum in expectation
         spec = IntermediateLossSpec("stochastic", weight=0.3)
         trace = self.trace()
-        det = total_loss(trace, self.labels,
-                         IntermediateLossSpec("middle", weight=0.3),
-                         self.heads).total.item()
+        det = self.loss(trace, IntermediateLossSpec("middle", weight=0.3)).total.item()
         rng = np.random.default_rng(1234)
-        draws = np.array([
-            total_loss(trace, self.labels, spec, self.heads, rng).total.item()
-            for _ in range(10000)])
+        draws = np.array([self.loss(trace, spec, rng).total.item() for _ in range(10000)])
         stderr = draws.std(ddof=1) / np.sqrt(draws.size)
         assert abs(draws.mean() - det) < 2 * stderr
 
@@ -197,16 +200,42 @@ class TestTotalLoss:
         plan = plan_step(spec, 4, np.random.default_rng(9))
         assert isinstance(plan, ObjectivePlan)
         trace = self.trace()
-        a = total_loss(trace, self.labels, spec, self.heads, plan=plan)
-        b = total_loss(trace, self.labels, spec, self.heads, plan=plan)
+        (a,) = stack_losses(trace, [6], [self.labels], self.heads, plan)
+        (b,) = stack_losses(trace, [6], [self.labels], self.heads, plan)
         assert [p for p, _ in a.ctc_intermediate] == [p for p, _ in b.ctc_intermediate]
 
     def test_infeasible_target_propagates(self):
-        from ctclab.ctc import InfeasibleTargetError
-        short = Tensor(np.random.default_rng(8).normal(size=(1, 5)))
+        short = Tensor(np.random.default_rng(8).normal(size=(1, 1, 5)))
         trace = self.enc.forward(short)
+        spec = IntermediateLossSpec("middle")
+        plan = plan_step(spec, 4)
+        assert stack_losses(trace, [1], [(1, 1)], self.heads, plan) == [None]
         with pytest.raises(InfeasibleTargetError):
-            total_loss(trace, (1, 1), IntermediateLossSpec("middle"), self.heads)
+            total_loss(trace, (1, 1), spec, self.heads, plan)
+
+    def test_total_loss_is_row_zero_of_a_training_stack(self):
+        # the loss `bench/run.py` differentiates is the one training takes:
+        # one utterance's total_loss, against its row of a padded stack
+        spec = IntermediateLossSpec("middle", weight=0.3)
+        plan = plan_step(spec, 4)
+        stack = np.zeros((2, 6, 5))
+        stack[0] = self.x.data[0]
+        stack[1, :4] = np.random.default_rng(9).normal(size=(4, 5))
+        enc, heads = self.enc, self.heads
+        alone, row = {}, {}
+
+        def f_alone():
+            alone["bd"] = total_loss(enc.forward(self.x), self.labels, spec, heads, plan)
+            return alone["bd"].total
+
+        def f_row():
+            row["bd"] = stack_losses(enc.forward(Tensor(stack), lengths=[6, 4]),
+                                     [6, 4], [self.labels, (2,)], heads, plan)[0]
+            return row["bd"].total
+        g_alone, g_row = grads_of(enc, heads, f_alone), grads_of(enc, heads, f_row)
+        assert alone["bd"].total.item() == pytest.approx(row["bd"].total.item(), rel=1e-12)
+        for name in g_alone:
+            np.testing.assert_allclose(g_alone[name], g_row[name], rtol=1e-10, atol=1e-15)
 
 
 class TestEvalDecode:
@@ -215,21 +244,20 @@ class TestEvalDecode:
         shared = CTCHeads.shared(CTCHead.build(8, 3, np.random.default_rng(1)))
         other = CTCHeads(shared.final,
                          CTCHead.build(8, 3, np.random.default_rng(2)))
-        x = Tensor(np.random.default_rng(3).normal(size=(7, 5)))
+        x = Tensor(np.random.default_rng(3).normal(size=(1, 7, 5)))
         trace = enc.forward(x)
         assert eval_decode(trace, shared) == eval_decode(trace, other)
 
     def test_matches_greedy_on_final_head(self):
-        from ctclab.ctc import greedy_decode
         enc, heads = make_model()
-        x = Tensor(np.random.default_rng(4).normal(size=(5, 5)))
+        x = Tensor(np.random.default_rng(4).normal(size=(1, 5, 5)))
         trace = enc.forward(x)
-        assert eval_decode(trace, heads) == [greedy_decode(heads.final(trace.final).data)]
+        assert eval_decode(trace, heads) == greedy_decode(heads.final(trace.final).data)
 
     def test_golden_decode_frozen_model(self):
         # pinned once from a seeded build of this implementation
         enc, heads = make_model(num_layers=2, seed=2024, vocab=4)
-        x = Tensor(np.random.default_rng(77).normal(size=(12, 5)) * 2.0)
+        x = Tensor(np.random.default_rng(77).normal(size=(1, 12, 5)) * 2.0)
         got = eval_decode(enc.forward(x), heads)
         assert got == [GOLDEN_DECODE]
 

@@ -17,11 +17,10 @@ from ctclab.tensor import (
     _sigmoid,
     add,
     gradcheck,
-    mul,
     put_rows,
     record_op,
-    sum_all,
     take,
+    weighted_sum,
 )
 
 
@@ -37,6 +36,11 @@ def log_softmax(x):
     """Row-wise log-softmax: the CTC head's, with an identity projection."""
     width = x.shape[-1]
     return CTCHead(Tensor(np.eye(width)), Tensor(np.zeros(width)))(x)
+
+
+def square(x):
+    """x * x elementwise, as one tape entry."""
+    return record_op(x.data * x.data, (x,), lambda g: (2.0 * g * x.data,))
 
 
 def rand_param(rng, *shape):
@@ -73,6 +77,12 @@ class TestTensorBasics:
                      ((3, 4), (4, 3))):
             with pytest.raises(ValueError, match="shape"):
                 add(Tensor(np.ones(a)), Tensor(np.ones(b)))
+
+
+    def test_weighted_sum_needs_weights_of_its_shape(self):
+        for shape in ((4,), (3, 1), (4, 3)):
+            with pytest.raises(ValueError, match="shape"):
+                weighted_sum(Tensor(np.ones((3, 4))), np.ones(shape))
 
 
 class TestForwardExamples:
@@ -114,7 +124,7 @@ class TestBackward:
     def test_sum_gives_ones(self):
         p = Tensor(np.arange(6, dtype=float).reshape(2, 3), requires_grad=True)
         with Tape() as tape:
-            loss = sum_all(p)
+            loss = weighted_sum(p, np.ones((2, 3)))
         tape.backward(loss)
         np.testing.assert_array_equal(p.grad, np.ones((2, 3)))
 
@@ -122,7 +132,7 @@ class TestBackward:
         p = Tensor(np.ones(3), requires_grad=True)
         q = Tensor(np.ones(3), requires_grad=True)
         with Tape() as tape:
-            loss = sum_all(mul(q, q))
+            loss = weighted_sum(square(q), np.ones(3))
         tape.backward(loss)
         np.testing.assert_array_equal(p.grad, np.zeros(3))
         np.testing.assert_array_equal(q.grad, 2 * np.ones(3))
@@ -130,14 +140,14 @@ class TestBackward:
     def test_fanout_accumulates(self):
         p = Tensor([2.0], requires_grad=True)
         with Tape() as tape:
-            loss = sum_all(add(mul(p, p), p))  # p^2 + p -> 2p + 1 = 5
+            loss = weighted_sum(add(square(p), p), np.ones(1))  # p^2 + p -> 2p + 1 = 5
         tape.backward(loss)
         np.testing.assert_allclose(p.grad, [5.0])
 
     def test_repeated_backward_accumulates(self):
         p = Tensor([1.0, 2.0], requires_grad=True)
         with Tape() as tape:
-            loss = sum_all(p)
+            loss = weighted_sum(p, np.ones(2))
         tape.backward(loss)
         tape.backward(loss)
         np.testing.assert_array_equal(p.grad, [2.0, 2.0])
@@ -145,13 +155,13 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         p = Tensor(np.ones(3), requires_grad=True)
         with Tape() as tape:
-            out = mul(p, p)
+            out = square(p)
         with pytest.raises(ValueError):
             tape.backward(out)
 
     def test_untaped_loss_rejected(self):
         p = Tensor(np.ones(3), requires_grad=True)
-        loss = sum_all(p)  # no tape active
+        loss = weighted_sum(p, np.ones(3))  # no tape active
         with pytest.raises(RuntimeError):
             Tape().backward(loss)
 
@@ -166,7 +176,7 @@ class TestBackward:
         gc.disable()
         try:
             with Tape() as tape:
-                loss = sum_all(mul(p, p))
+                loss = weighted_sum(square(p), np.ones(2))
             tape.backward(loss)
             ref = weakref.ref(tape)
             del tape
@@ -181,7 +191,7 @@ class TestBackward:
         p = Tensor([3.0], requires_grad=True)
         with Tape() as tape:
             out = record_op(p.data ** 2, (p,), lambda g: (g * 2 * p.data,))
-            loss = sum_all(out)
+            loss = weighted_sum(out, np.ones(1))
         tape.backward(loss)
         np.testing.assert_allclose(p.grad, [6.0])
 
@@ -197,7 +207,7 @@ class TestGradcheck:
     def test_quadratic_is_exact(self):
         rng = np.random.default_rng(4)
         p = rand_param(rng, 5)
-        report = gradcheck(lambda: sum_all(mul(p, p)), {"p": p})
+        report = gradcheck(lambda: weighted_sum(square(p), np.ones(5)), {"p": p})
         assert report.max_rel_error < 1e-9
 
     @pytest.mark.parametrize("name,fn", [
@@ -207,28 +217,28 @@ class TestGradcheck:
         rng = np.random.default_rng(hash(name) % 2**31)
         x = rand_param(rng, 4, 6)
         # weight the outputs so the check is not fooled by symmetric cancellation
-        w = Tensor(rng.uniform(-1, 1, size=fn(x).shape))
-        report = gradcheck(lambda: sum_all(mul(fn(x), w)), {"x": x})
+        w = rng.uniform(-1, 1, size=fn(x).shape)
+        report = gradcheck(lambda: weighted_sum(fn(x), w), {"x": x})
         assert report.max_rel_error < 1e-6
 
     def test_layer_norm(self):
         rng = np.random.default_rng(8)
         x, gain, bias = rand_param(rng, 3, 8), rand_param(rng, 8), rand_param(rng, 8)
-        w = Tensor(rng.uniform(-1, 1, size=(3, 8)))
+        w = rng.uniform(-1, 1, size=(3, 8))
         report = gradcheck(
-            lambda: sum_all(mul(layer_norm(x, gain, bias), w)),
+            lambda: weighted_sum(layer_norm(x, gain, bias), w),
             {"x": x, "gain": gain, "bias": bias})
         assert report.max_rel_error < 1e-6
 
     def test_add_fan_out(self):
         rng = np.random.default_rng(9)
         x, b = rand_param(rng, 4, 6), rand_param(rng, 4, 6)
-        w1 = Tensor(rng.uniform(-1, 1, size=(4, 6)))
-        w2 = Tensor(rng.uniform(-1, 1, size=(4, 6)))
+        w1 = rng.uniform(-1, 1, size=(4, 6))
+        w2 = rng.uniform(-1, 1, size=(4, 6))
 
         def f():
             y = add(x, b)  # fans out into two weighted sums
-            return add(sum_all(mul(y, w1)), sum_all(mul(y, w2)))
+            return add(weighted_sum(y, w1), weighted_sum(y, w2))
         report = gradcheck(f, {"x": x, "b": b})
         assert report.max_rel_error < 1e-6
 
@@ -237,11 +247,10 @@ class TestGradcheck:
     def test_take(self, index):
         rng = np.random.default_rng(12)
         x = rand_param(rng, 3, 4, 5)
-        w = Tensor(rng.uniform(-1, 1, size=x.data[index].shape))
+        w = rng.uniform(-1, 1, size=x.data[index].shape)
 
         def f():
-            part = take(x, index)
-            return sum_all(mul(mul(part, part), w))
+            return weighted_sum(square(take(x, index)), w)
         report = gradcheck(f, {"x": x})
         assert report.max_rel_error < 1e-6
 
@@ -249,11 +258,10 @@ class TestGradcheck:
         rng = np.random.default_rng(13)
         x, y = rand_param(rng, 3, 4, 5), rand_param(rng, 2, 4, 5)
         rows = np.array([2, 0])
-        w = Tensor(rng.uniform(-1, 1, size=(3, 4, 5)))
+        w = rng.uniform(-1, 1, size=(3, 4, 5))
 
         def f():
-            out = put_rows(x, rows, y)
-            return sum_all(mul(mul(out, out), w))
+            return weighted_sum(square(put_rows(x, rows, y)), w)
         report = gradcheck(f, {"x": x, "y": y})
         assert report.max_rel_error < 1e-6
 
@@ -263,12 +271,12 @@ class TestGradcheck:
         worst = 0.0
         for _ in range(50):
             x = rand_param(rng, 3, 4)
-            w = Tensor(rng.uniform(-1, 1, size=(3, 4)))
+            w = rng.uniform(-1, 1, size=(3, 4))
             gain = Tensor(rng.uniform(0.5, 1.5, size=4))
             bias = Tensor(rng.uniform(-1, 1, size=4))
             fns = [
-                lambda: sum_all(mul(layer_norm(x, gain, bias), w)),
-                lambda: sum_all(mul(log_softmax(x), w)),
+                lambda: weighted_sum(layer_norm(x, gain, bias), w),
+                lambda: weighted_sum(log_softmax(x), w),
             ]
             for f in fns:
                 worst = max(worst, gradcheck(f, {"x": x}).max_rel_error)

@@ -8,10 +8,10 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 import ctclab.trainer
 from ctclab.config import RunConfig
-from ctclab.ctc import InfeasibleTargetError, ctc_loss
+from ctclab.ctc import ctc_loss
 from ctclab.data import Utterance, generate_dataset
-from ctclab.objective import eval_decode, plan_step, total_loss
-from ctclab.tensor import Tape, Tensor, mul
+from ctclab.objective import eval_decode, plan_step, stack_losses
+from ctclab.tensor import Tape, weighted_sum
 from ctclab.trainer import (
     Checkpoint,
     Model,
@@ -247,7 +247,7 @@ class TestTraining:
 
         def eval_loss():
             return float(np.mean([
-                ctc_loss(model.heads.final(model.trace(u.features).final).data,
+                ctc_loss(model.heads.final(model.trace(u.features[None]).final).data[0],
                          u.labels).item() for u in train]))
 
         before = eval_loss()
@@ -332,14 +332,14 @@ class TestMicroBatches:
         alone, masks = [], []
         for utt, row in zip(batch, draws):
             with Tape() as tape:
-                trace = model.trace(utt.features, draws=row[None])
-                masks.append(trace.skip_mask)
-                try:
-                    breakdown = total_loss(trace, utt.labels, spec, model.heads, plan=plan)
-                except InfeasibleTargetError:
+                trace = model.trace(utt.features[None], draws=row[None])
+                masks.append(trace.skip_mask[0])
+                (breakdown,) = stack_losses(trace, [utt.features.shape[0]], [utt.labels],
+                                            model.heads, plan)
+                if breakdown is None:
                     alone.append(None)
                     continue
-                loss = mul(breakdown.total, Tensor(1.0 / len(batch)))
+                loss = weighted_sum(breakdown.total, np.full((), 1.0 / len(batch)))
             tape.backward(loss)
             alone.append(breakdown)
         expect = {name: p.grad.copy() for name, p in params.items()}
@@ -465,7 +465,8 @@ class TestEvaluate:
         lengths = [utt.features.shape[0] for utt in dev]
         assert 1 < len(set(lengths)) < len(lengths)  # mixed, and some stack
         result = evaluate_model(model, dev)
-        alone = [eval_decode(model.trace(utt.features), model.heads)[0] for utt in dev]
+        alone = [eval_decode(model.trace(utt.features[None]), model.heads)[0]
+                 for utt in dev]
         assert result.decodes == alone and len(set(alone)) > 1
         assert evaluate_model(model, dev[::-1]).decodes == result.decodes[::-1]
 
@@ -499,6 +500,19 @@ class TestEvaluate:
         del ckpt.params[next(iter(ckpt.params))]
         with pytest.raises(ValueError):
             load_model_state(model, ckpt)
+
+
+class TestModelTrace:
+    def test_an_utterance_is_a_one_row_stack(self):
+        # `bench/run.py` traces single (T, F) utterances
+        cfg = tiny_cfg()
+        model = Model.from_run_config(cfg)
+        features = generate_dataset(cfg.task, "dev")[0].features
+        alone, stacked = model.trace(features), model.trace(features[None])
+        assert alone.skip_mask == stacked.skip_mask == [[1] * cfg.layers]
+        for a, b in zip(alone.states, stacked.states):
+            assert a.shape == (1, features.shape[0], cfg.d_model)
+            assert np.array_equal(a.data, b.data)
 
 
 class TestOptimizer:
