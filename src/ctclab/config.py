@@ -2,13 +2,16 @@
 echo that gets embedded into checkpoints so a run can be reproduced from its
 artifacts.
 
-Every key is one row of `_TABLE`: (key, attribute, caster, default).  The
-attribute is a `RunConfig` field, or `task.<field>` for a field of the
-run's `SyntheticTaskConfig`.  `RunConfig.parse` casts each line with its
-row's caster and fills unset keys from the defaults; `RunConfig.to_text`
+A `RunConfig` holds the run's `EncoderConfig`, `IntermediateLossSpec` and
+`SyntheticTaskConfig` and the run-level fields, and every default lives on
+the dataclass field it sets.  Every key is one row of `_TABLE`: (key,
+attribute, caster), where the attribute is a dotted path from the
+`RunConfig`, such as `encoder.n_heads`.  `RunConfig.parse` casts each line
+with its row's caster and leaves unset keys at their field defaults, except
+that the task seed falls back to the run's seed; the encoder's input width
+and seed are taken from `task.dim` and `train.seed`.  `RunConfig.to_text`
 walks the table in order, so the echo lists the keys as the table does and
-leaves out a value of None.  A default of None is resolved by `parse`: the
-task seed falls back to the run's seed, and the loss position stays unset.
+leaves out a value of None (an unset loss position).
 """
 from __future__ import annotations
 
@@ -42,60 +45,51 @@ def _fmt(value) -> str:
 
 
 _TABLE = (
-    ("model.kind", "kind", str, "transformer"),
-    ("model.layers", "layers", int, 4),
-    ("model.d_model", "d_model", int, 64),
-    ("model.heads", "heads", int, 4),
-    ("model.d_ff", "d_ff", int, 128),
-    ("model.conv_kernel", "conv_kernel", int, 7),
-    ("model.p_last", "p_last", float, 0.7),
-    ("model.separate_heads", "separate_heads", _parse_bool, False),
-    ("loss.variant", "loss_variant", str, "middle"),
-    ("loss.w", "loss_weight", float, 0.3),
-    ("loss.k", "loss_count", int, 1),
-    ("loss.position", "loss_position", int, None),
-    ("task.vocab", "task.vocab", int, 5),
-    ("task.dim", "task.input_dim", int, 16),
-    ("task.min_label", "task.min_label_length", int, 2),
-    ("task.max_label", "task.max_label_length", int, 8),
-    ("task.min_duration", "task.min_duration", int, 2),
-    ("task.max_duration", "task.max_duration", int, 4),
-    ("task.sigma", "task.noise_sigma", float, 0.25),
-    ("task.train_size", "task.train_size", int, 2048),
-    ("task.dev_size", "task.dev_size", int, 256),
-    ("task.test_size", "task.test_size", int, 256),
-    ("task.seed", "task.seed", int, None),
-    ("train.epochs", "epochs", int, 20),
-    ("train.batch", "batch_size", int, 16),
-    ("train.seed", "seed", int, 1),
-    ("train.average_last", "average_last", int, 5),
+    ("model.kind", "encoder.kind", str),
+    ("model.layers", "encoder.num_layers", int),
+    ("model.d_model", "encoder.d_model", int),
+    ("model.heads", "encoder.n_heads", int),
+    ("model.d_ff", "encoder.d_ff", int),
+    ("model.conv_kernel", "encoder.conv_kernel", int),
+    ("model.p_last", "encoder.survival_floor", float),
+    ("model.separate_heads", "separate_heads", _parse_bool),
+    ("loss.variant", "loss.variant", str),
+    ("loss.w", "loss.weight", float),
+    ("loss.k", "loss.count", int),
+    ("loss.position", "loss.position", int),
+    ("task.vocab", "task.vocab", int),
+    ("task.dim", "task.input_dim", int),
+    ("task.min_label", "task.min_label_length", int),
+    ("task.max_label", "task.max_label_length", int),
+    ("task.min_duration", "task.min_duration", int),
+    ("task.max_duration", "task.max_duration", int),
+    ("task.sigma", "task.noise_sigma", float),
+    ("task.train_size", "task.train_size", int),
+    ("task.dev_size", "task.dev_size", int),
+    ("task.test_size", "task.test_size", int),
+    ("task.seed", "task.seed", int),
+    ("train.epochs", "epochs", int),
+    ("train.batch", "batch_size", int),
+    ("train.seed", "seed", int),
+    ("train.average_last", "average_last", int),
 )
-_CASTERS = {key: caster for key, _, caster, _ in _TABLE}
+_ROWS = {key: (attr, caster) for key, attr, caster in _TABLE}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    kind: str
-    layers: int
-    d_model: int
-    heads: int
-    d_ff: int
-    conv_kernel: int
-    p_last: float
-    separate_heads: bool
-    loss_variant: str
-    loss_weight: float
-    loss_count: int
-    loss_position: int | None
+    encoder: EncoderConfig
+    loss: IntermediateLossSpec
     task: SyntheticTaskConfig
-    epochs: int
-    batch_size: int
-    seed: int
-    average_last: int
+    separate_heads: bool = False
+    epochs: int = 20
+    batch_size: int = 16
+    seed: int = 1
+    average_last: int = 5
 
     @classmethod
     def parse(cls, text: str) -> "RunConfig":
-        values = {}
+        parts = {"": {}, "encoder": {}, "loss": {}, "task": {}}
         for line_no, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -104,31 +98,28 @@ class RunConfig:
                 raise ConfigError(f"line {line_no}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in _CASTERS:
+            if key not in _ROWS:
                 raise ConfigError(f"line {line_no}: unknown key {key!r}")
+            attr, caster = _ROWS[key]
+            part, _, name = attr.rpartition(".")
             try:
-                values[key] = _CASTERS[key](value)
+                parts[part][name] = caster(value)
             except ValueError as err:
                 raise ConfigError(f"line {line_no}: bad value for {key}: {err}") from None
 
-        fields, task = {}, {}
-        for key, attr, _, default in _TABLE:
-            value = values.get(key, default)
-            if attr.startswith("task."):
-                task[attr.removeprefix("task.")] = value
-            else:
-                fields[attr] = value
-        if task["seed"] is None:
-            task["seed"] = fields["seed"]
+        run = parts[""]
+        seed = run.get("seed", cls.seed)  # the class attribute is the field default
         try:
-            cfg = cls(task=SyntheticTaskConfig(**task), **fields)
-            cfg.encoder_config()  # validate model fields eagerly
+            task = SyntheticTaskConfig(**{"seed": seed, **parts["task"]})
+            encoder = EncoderConfig(input_dim=task.input_dim, seed=seed, **parts["encoder"])
+            loss = IntermediateLossSpec(**parts["loss"])
             # every intermediate position the loss can pick must be a layer
             # below the last; the random variant's lies in [L/2, L-1], so any
             # one draw of it shows whether that range exists
-            resolve_positions(cfg.loss_spec(), cfg.layers, np.random.default_rng(0))
+            resolve_positions(loss, encoder.num_layers, np.random.default_rng(0))
         except ValueError as err:
             raise ConfigError(str(err)) from None
+        cfg = cls(encoder=encoder, loss=loss, task=task, **run)
         bounds = [("train.epochs", cfg.epochs, 0), ("train.batch", cfg.batch_size, 1),
                   ("train.average_last", cfg.average_last, 1),
                   ("train.seed", cfg.seed, 0), ("task.seed", cfg.task.seed, 0)]
@@ -147,31 +138,19 @@ class RunConfig:
     def default(cls) -> "RunConfig":
         return cls.parse("")
 
-    def encoder_config(self) -> EncoderConfig:
-        return EncoderConfig(
-            num_layers=self.layers,
-            kind=self.kind,
-            d_model=self.d_model,
-            n_heads=self.heads,
-            d_ff=self.d_ff,
-            conv_kernel=self.conv_kernel,
-            survival_floor=self.p_last,
-            input_dim=self.task.input_dim,
-            seed=self.seed,
-        )
+    @property
+    def layers(self) -> int:
+        """`encoder.num_layers`, kept for `bench/run.py`."""
+        return self.encoder.num_layers
 
     def loss_spec(self) -> IntermediateLossSpec:
-        return IntermediateLossSpec(
-            variant=self.loss_variant,
-            weight=self.loss_weight,
-            count=self.loss_count,
-            position=self.loss_position,
-        )
+        """`loss`, kept for `bench/run.py`."""
+        return self.loss
 
     def to_text(self) -> str:
         """Canonical echo; parsing it back reproduces this config exactly."""
         lines = []
-        for key, attr, _, _ in _TABLE:
+        for key, attr, _ in _TABLE:
             value = attrgetter(attr)(self)
             if value is not None:
                 lines.append(f"{key}={_fmt(value)}")

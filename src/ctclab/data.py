@@ -67,9 +67,9 @@ def token_prototypes(cfg: SyntheticTaskConfig) -> np.ndarray:
     return rng.normal(size=(cfg.vocab, cfg.input_dim))
 
 
-def generate_dataset(cfg: SyntheticTaskConfig, split: str,
-                     dtype=np.float32) -> list[Utterance]:
-    """Deterministic per (seed, split); splits use disjoint derived seeds."""
+def generate_dataset(cfg: SyntheticTaskConfig, split: str) -> list[Utterance]:
+    """Deterministic per (seed, split); splits use disjoint derived seeds,
+    and features are float32."""
     if split not in SPLITS:
         raise ValueError(f"split must be one of {SPLITS}, got {split!r}")
     protos = token_prototypes(cfg)
@@ -93,5 +93,5 @@ def generate_dataset(cfg: SyntheticTaskConfig, split: str,
                 f"no utterance drawn from task.vocab, task.min_label..task.max_label "
                 f"and task.min_duration..task.max_duration fits its labels in "
                 f"{MAX_DRAWS} draws; with task.min_duration of 2 or more every draw fits")
-        utterances.append(Utterance(frames.astype(dtype), labels))
+        utterances.append(Utterance(frames.astype(np.float32), labels))
     return utterances

@@ -50,7 +50,7 @@ NORM_EPS = 1e-5
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    num_layers: int
+    num_layers: int = 4
     kind: str = "transformer"
     d_model: int = 64
     n_heads: int = 4

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -310,8 +310,7 @@ class GradcheckReport:
                 for name, err in sorted(self.per_param.items())]
 
 
-def gradcheck(f: Callable[[], Tensor],
-              params: Mapping[str, Tensor] | Iterable[tuple[str, Tensor]],
+def gradcheck(f: Callable[[], Tensor], params: Mapping[str, Tensor],
               eps: float = 1e-5) -> GradcheckReport:
     """Compare tape gradients of the scalar f() against central differences.
 
@@ -319,8 +318,7 @@ def gradcheck(f: Callable[[], Tensor],
     every call and be deterministic.  Parameters must be float64 for the
     stated tolerances to be meaningful.
     """
-    items = list(params.items()) if isinstance(params, Mapping) else list(params)
-    for _, p in items:
+    for p in params.values():
         if p.grad is None:
             raise ValueError("gradcheck parameters need requires_grad=True")
         p.zero_grad()
@@ -329,7 +327,7 @@ def gradcheck(f: Callable[[], Tensor],
     tape.backward(loss)
 
     report: dict[str, float] = {}
-    for name, p in items:
+    for name, p in params.items():
         analytic = p.grad.astype(np.float64, copy=True)
         numeric = np.zeros_like(analytic)
         flat = p.data.reshape(-1)

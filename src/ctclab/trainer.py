@@ -21,6 +21,7 @@ TrainingDiverged.
 from __future__ import annotations
 
 import logging
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,11 +81,12 @@ class Model:
 
     @classmethod
     def from_run_config(cls, cfg: RunConfig, dtype=np.float32) -> "Model":
-        encoder = Encoder.build(cfg.encoder_config(), dtype=dtype)
+        encoder = Encoder.build(cfg.encoder, dtype=dtype)
         head_rng = np.random.default_rng([cfg.seed, 7])
-        final = CTCHead.build(cfg.d_model, cfg.task.vocab, head_rng, dtype=dtype)
+        d_model = cfg.encoder.d_model
+        final = CTCHead.build(d_model, cfg.task.vocab, head_rng, dtype=dtype)
         if cfg.separate_heads:
-            inter = CTCHead.build(cfg.d_model, cfg.task.vocab, head_rng, dtype=dtype)
+            inter = CTCHead.build(d_model, cfg.task.vocab, head_rng, dtype=dtype)
             heads = CTCHeads(final, inter)
         else:
             heads = CTCHeads.shared(final)
@@ -219,7 +221,7 @@ def load_checkpoint(path) -> Checkpoint:
         name = str(take(name_len), "utf-8")
         (rank,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{rank}I", take(4 * rank))
-        n = int(np.prod(shape)) if rank else 1
+        n = math.prod(shape)
         arr = np.frombuffer(take(4 * n), dtype="<f4")
         if name in params:
             raise ValueError(f"{path}: duplicate parameter name {name!r}")
@@ -315,16 +317,14 @@ def step_losses(model: Model, batch: list[Utterance], plan,
 def run_training(cfg: RunConfig, out_dir) -> TrainResult:
     """Train per the config, writing one checkpoint per epoch, a metrics log,
     and the average of the last `average_last` epoch checkpoints."""
+    train_set = generate_dataset(cfg.task, "train")
+    dev_set = generate_dataset(cfg.task, "dev")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     echo = cfg.to_text()
-    spec = cfg.loss_spec()
-
-    train_set = generate_dataset(cfg.task, "train")
-    dev_set = generate_dataset(cfg.task, "dev")
     model = Model.from_run_config(cfg)
     params = model.parameters()
-    optimizer = OptimizerState.init(params, cfg.d_model)
+    optimizer = OptimizerState.init(params, cfg.encoder.d_model)
     rng = np.random.default_rng([cfg.seed, 100])  # one stream for all step draws
 
     paths = [out_dir / "epoch_0.ckpt"]
@@ -338,8 +338,8 @@ def run_training(cfg: RunConfig, out_dir) -> TrainResult:
         epoch_losses: list[float] = []
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_set[i] for i in order[start:start + cfg.batch_size]]
-            plan = plan_step(spec, cfg.layers, rng)
-            draws = rng.random((len(batch), cfg.layers))
+            plan = plan_step(cfg.loss, cfg.encoder.num_layers, rng)
+            draws = rng.random((len(batch), cfg.encoder.num_layers))
             try:
                 breakdowns = step_losses(model, batch, plan, draws)
             except FloatingPointError as err:

@@ -126,6 +126,7 @@ class TestTrain:
             assert code == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
+            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text", [
         "loss.variant=lower\nloss.position=9\n",

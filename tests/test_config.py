@@ -1,8 +1,10 @@
+from operator import attrgetter
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from ctclab.config import ConfigError, RunConfig
+from ctclab.config import _TABLE, ConfigError, RunConfig
 from ctclab.objective import VARIANTS
 
 # the echo of the default config and of one non-default config, taken from
@@ -71,12 +73,12 @@ CONFORMER_LOWER_ECHO = (
 class TestParsing:
     def test_defaults(self):
         cfg = RunConfig.default()
-        assert cfg.kind == "transformer"
-        assert cfg.layers == 4
-        assert cfg.d_model == 64
-        assert cfg.p_last == 0.7
-        assert cfg.loss_variant == "middle"
-        assert cfg.loss_weight == 0.3
+        assert cfg.encoder.kind == "transformer"
+        assert cfg.encoder.num_layers == 4
+        assert cfg.encoder.d_model == 64
+        assert cfg.encoder.survival_floor == 0.7
+        assert cfg.loss.variant == "middle"
+        assert cfg.loss.weight == 0.3
         assert cfg.epochs == 20
         assert cfg.batch_size == 16
         assert cfg.average_last == 5
@@ -90,7 +92,7 @@ class TestParsing:
 
     def test_comments_and_blanks_skipped(self):
         cfg = RunConfig.parse("# a comment\n\nmodel.layers=6\n")
-        assert cfg.layers == 6
+        assert cfg.encoder.num_layers == 6
 
     def test_bad_value_type(self):
         with pytest.raises(ConfigError, match="model.layers"):
@@ -173,25 +175,57 @@ class TestEcho:
 
     def test_lower_position_round_trip(self):
         cfg = RunConfig.parse("loss.variant=lower\nloss.position=3\nmodel.layers=12")
-        assert cfg.loss_position == 3
+        assert cfg.loss.position == 3
         assert RunConfig.parse(cfg.to_text()) == cfg
 
     def test_derived_configs(self):
-        cfg = RunConfig.parse("model.layers=6\ntrain.seed=11")
-        enc = cfg.encoder_config()
-        assert enc.num_layers == 6
-        assert enc.seed == 11
-        assert enc.survival_floor == 0.7
-        assert enc.input_dim == cfg.task.input_dim
-        spec = cfg.loss_spec()
-        assert spec.variant == "middle"
-        assert spec.weight == 0.3
+        cfg = RunConfig.parse("model.layers=6\ntrain.seed=11\ntask.dim=9")
+        assert cfg.encoder.num_layers == 6
+        assert cfg.encoder.seed == 11
+        assert cfg.encoder.survival_floor == 0.7
+        assert cfg.encoder.input_dim == cfg.task.input_dim == 9
+        assert cfg.loss.variant == "middle"
+        assert cfg.loss.weight == 0.3
 
     def test_default_echo_pinned(self):
         assert RunConfig.default().to_text() == DEFAULT_ECHO
 
     def test_conformer_lower_echo_pinned(self):
         assert RunConfig.parse(CONFORMER_LOWER_TEXT).to_text() == CONFORMER_LOWER_ECHO
+
+
+# a value other than the default for each key, valid with every other key
+# at its default
+OTHER_VALUES = {
+    "model.kind": "conformer", "model.layers": "6", "model.d_model": "32",
+    "model.heads": "2", "model.d_ff": "96", "model.conv_kernel": "5",
+    "model.p_last": "0.5", "model.separate_heads": "true",
+    "loss.variant": "lower", "loss.w": "0.5", "loss.k": "2", "loss.position": "2",
+    "task.vocab": "7", "task.dim": "9", "task.min_label": "3", "task.max_label": "9",
+    "task.min_duration": "3", "task.max_duration": "5", "task.sigma": "0.5",
+    "task.train_size": "100", "task.dev_size": "10", "task.test_size": "12",
+    "task.seed": "3", "train.epochs": "3", "train.batch": "8", "train.seed": "7",
+    "train.average_last": "2",
+}
+
+
+def echo_values(cfg):
+    return dict(line.split("=", 1) for line in cfg.to_text().splitlines())
+
+
+class TestTable:
+    @pytest.mark.parametrize("key, attr, caster", _TABLE, ids=[row[0] for row in _TABLE])
+    def test_key_sets_its_attribute_and_echo_line_only(self, key, attr, caster):
+        default = RunConfig.default()
+        cfg = RunConfig.parse(f"{key}={OTHER_VALUES[key]}\n")
+        value = attrgetter(attr)(cfg)
+        assert value == caster(OTHER_VALUES[key]) != attrgetter(attr)(default)
+        before, after = echo_values(default), echo_values(cfg)
+        moved = {k for k in before.keys() | after.keys() if before.get(k) != after.get(k)}
+        # the task seed falls back to the run's seed
+        assert moved == ({key, "task.seed"} if key == "train.seed" else {key})
+        if key == "train.seed":
+            assert cfg.task.seed == value
 
 
 @st.composite

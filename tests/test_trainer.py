@@ -1,4 +1,6 @@
 import gc
+import re
+import struct
 from collections import Counter
 
 import numpy as np
@@ -97,6 +99,17 @@ class TestCheckpointFormat:
             cut.write_bytes(blob[:length])
             with pytest.raises(ValueError):
                 load_checkpoint(cut)
+
+    @pytest.mark.parametrize("extents", [(2**31, 2**31, 4), (2**32 - 1, 2**32 - 1)],
+                             ids=["count_wraps_to_zero", "count_wraps_negative"])
+    def test_extents_past_the_file_reported_as_truncated(self, tmp_path, extents):
+        # counted in int64, the first shape holds 0 elements and the second
+        # a negative number
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(b"ICTC" + struct.pack("<III", 1, 1, 1) + b"w"
+                         + struct.pack(f"<B{len(extents)}I", len(extents), *extents))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: checkpoint truncated")):
+            load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -241,9 +254,9 @@ class TestTraining:
         train = generate_dataset(cfg.task, "train")[:16]
         model = Model.from_run_config(cfg)
         params = model.parameters()
-        optimizer = OptimizerState.init(params, cfg.d_model)
+        optimizer = OptimizerState.init(params, cfg.encoder.d_model)
         rng = np.random.default_rng([cfg.seed, 100])
-        spec = cfg.loss_spec()
+        spec, layers = cfg.loss, cfg.encoder.num_layers
 
         def eval_loss():
             return float(np.mean([
@@ -252,8 +265,8 @@ class TestTraining:
 
         before = eval_loss()
         for _ in range(50):
-            plan = plan_step(spec, cfg.layers, rng)
-            step_losses(model, train, plan, rng.random((len(train), cfg.layers)))
+            plan = plan_step(spec, layers, rng)
+            step_losses(model, train, plan, rng.random((len(train), layers)))
             optimizer.apply_gradients(params)
         assert eval_loss() < 0.5 * before
 
@@ -261,8 +274,8 @@ class TestTraining:
         cfg = tiny_cfg()
         real = generate_dataset
 
-        def with_bad_sample(task_cfg, split, dtype=np.float32):
-            data = real(task_cfg, split, dtype)
+        def with_bad_sample(task_cfg, split):
+            data = real(task_cfg, split)
             if split == "train":
                 bad = Utterance(np.zeros((1, task_cfg.input_dim), dtype=np.float32),
                                 (1, 1))  # needs 3 frames, has 1
@@ -326,8 +339,7 @@ class TestMicroBatches:
         # a draw of 0 keeps every layer, 0.999 skips it (p_l <= 5/6)
         draws = np.array([[0.0 if kept else 0.999 for kept in keep]
                           for _, keep in utterances])
-        spec = cfg.loss_spec()
-        plan = plan_step(spec, cfg.layers)
+        plan = plan_step(cfg.loss, cfg.encoder.num_layers)
 
         alone, masks = [], []
         for utt, row in zip(batch, draws):
@@ -388,7 +400,7 @@ class TestTapeLifetime:
             "loss.k=2\ntask.min_label=8\ntask.max_label=18\n"
             "task.min_duration=3\ntask.max_duration=5\ntask.train_size=6\n")
         model = Model.from_run_config(cfg)
-        spec = cfg.loss_spec()
+        spec, layers = cfg.loss, cfg.encoder.num_layers
         rng = np.random.default_rng(0)
         utterances = generate_dataset(cfg.task, "train")
         groups = micro_batches([utt.features.shape[0] for utt in utterances])
@@ -396,9 +408,9 @@ class TestTapeLifetime:
         gc.disable()
         try:
             for _ in range(2):
-                plan = plan_step(spec, cfg.layers, rng)
+                plan = plan_step(spec, layers, rng)
                 step_losses(model, utterances, plan,
-                            rng.random((len(utterances), cfg.layers)))
+                            rng.random((len(utterances), layers)))
             live_tapes = sum(isinstance(o, Tape) for o in gc.get_objects())
             found = gc.collect()
         finally:
@@ -420,12 +432,12 @@ class TestEvaluate:
         data = generate_dataset(cfg.task, "train")
         model = Model.from_run_config(cfg)
         params = model.parameters()
-        optimizer = OptimizerState.init(params, cfg.d_model)
+        optimizer = OptimizerState.init(params, cfg.encoder.d_model)
         rng = np.random.default_rng(0)
-        spec = cfg.loss_spec()
+        spec, layers = cfg.loss, cfg.encoder.num_layers
         for _ in range(250):
-            plan = plan_step(spec, cfg.layers, rng)
-            step_losses(model, data, plan, rng.random((len(data), cfg.layers)))
+            plan = plan_step(spec, layers, rng)
+            step_losses(model, data, plan, rng.random((len(data), layers)))
             optimizer.apply_gradients(params)
         result = evaluate_model(model, data)
         assert result.rate == 0.0
@@ -509,9 +521,9 @@ class TestModelTrace:
         model = Model.from_run_config(cfg)
         features = generate_dataset(cfg.task, "dev")[0].features
         alone, stacked = model.trace(features), model.trace(features[None])
-        assert alone.skip_mask == stacked.skip_mask == [[1] * cfg.layers]
+        assert alone.skip_mask == stacked.skip_mask == [[1] * cfg.encoder.num_layers]
         for a, b in zip(alone.states, stacked.states):
-            assert a.shape == (1, features.shape[0], cfg.d_model)
+            assert a.shape == (1, features.shape[0], cfg.encoder.d_model)
             assert np.array_equal(a.data, b.data)
 
 
