@@ -33,12 +33,8 @@ from .ctc import (  # noqa: E402
 )
 from .data import generate_dataset  # noqa: E402
 from .encoder import (  # noqa: E402
-    Attention,
-    ConvModule,
     Encoder,
     EncoderConfig,
-    FeedForward,
-    Norm,
     Padding,
     _conv_module,
     _feed_forward,
@@ -74,17 +70,15 @@ class _Parser(argparse.ArgumentParser):
 def _primitive_checks(rng):
     """Each primitive and fused entry against central differences, the
     residual blocks on a padded (2, 3, 4) stack whose second row is 2 frames
-    long, and `kept_rows` on that row alone, put back in place."""
+    long, and `kept_rows` on that row alone, put back in place.  The blocks'
+    parameters are those of a one-layer Conformer, each redrawn: gains in
+    [0.5, 1.5), everything else in [-1, 1)."""
     def param(*shape):
         return Tensor(rng.uniform(-1, 1, size=shape), requires_grad=True)
 
     def weighted(fn, x):
         w = rng.uniform(-1, 1, size=fn(x).shape)
         return lambda: weighted_sum(fn(x), w)
-
-    def norm():
-        return Norm(Tensor(rng.uniform(0.5, 1.5, size=4), requires_grad=True),
-                    param(4))
 
     def block_params(*containers):
         named = {"x": block_x}
@@ -96,32 +90,32 @@ def _primitive_checks(rng):
     block_x = Tensor(rng.uniform(-2, 2, size=(2, 3, 4)), requires_grad=True)
     branch_scale, rows = 1.25, np.array([1])
     padding = Padding.of(np.array([3, 2]), 3, np.float64)
-    att_norm, att = norm(), Attention(param(4, 4), param(4), param(4, 4), param(4),
-                                      param(4, 4), param(4), param(4, 4), param(4))
-    ffn_norm, ffn, out_norm = norm(), FeedForward(param(4, 5), param(5), param(5, 4),
-                                                  param(4)), norm()
-    conv_norm, conv = norm(), ConvModule(param(4, 8), param(8), param(3, 4), param(4),
-                                         norm(), param(4, 4), param(4))
-    frontend = Encoder.build(EncoderConfig(num_layers=1, d_model=4, n_heads=2,
-                                           input_dim=5, seed=int(rng.integers(2**31))))
+    enc = Encoder.build(EncoderConfig(num_layers=1, kind="conformer", d_model=4,
+                                      n_heads=2, d_ff=5, conv_kernel=3, input_dim=5))
+    for name, p in enc.parameters().items():
+        bounds = (0.5, 1.5) if name.endswith(".gain") else (-1.0, 1.0)
+        p.data[...] = rng.uniform(*bounds, size=p.shape)
+    layer = enc.layers[0]
+    att_norm, att = layer.att_norm, layer.attention
+    conv_norm, conv = layer.conv_norm, layer.conv
     features = Tensor(rng.uniform(-1, 1, size=(2, 3, 5)), requires_grad=True)
     head = CTCHead.build(4, 2, rng)
     head.bias.data[...] = rng.uniform(-1, 1, size=3)
 
     return [
         ("add", {"x": x34, "y": y34}, weighted(lambda x: add(x, y34), x34)),
-        ("frontend", {"x": features, "weight": frontend.frontend_w,
-                      "bias": frontend.frontend_b},
-         weighted(frontend.input_frontend, features)),
+        ("frontend", {"x": features, "weight": enc.frontend_w, "bias": enc.frontend_b},
+         weighted(enc.input_frontend, features)),
         ("attention", block_params(att_norm, att),
          weighted(lambda x: self_attention(x, att_norm, att, 2, branch_scale, padding),
                   block_x)),
-        ("feed_forward_relu", block_params(ffn_norm, ffn),
-         weighted(lambda x: _feed_forward(x, ffn_norm, ffn, "relu", branch_scale),
-                  block_x)),
-        ("feed_forward_swish_out_norm", block_params(ffn_norm, ffn, out_norm),
-         weighted(lambda x: _feed_forward(x, ffn_norm, ffn, "swish", branch_scale,
-                                          out_norm), block_x)),
+        ("feed_forward_relu", block_params(layer.ffn1_norm, layer.ffn1),
+         weighted(lambda x: _feed_forward(x, layer.ffn1_norm, layer.ffn1, "relu",
+                                          branch_scale), block_x)),
+        ("feed_forward_swish_out_norm",
+         block_params(layer.ffn2_norm, layer.ffn2, layer.out_norm),
+         weighted(lambda x: _feed_forward(x, layer.ffn2_norm, layer.ffn2, "swish",
+                                          branch_scale, layer.out_norm), block_x)),
         ("conv_module", block_params(conv_norm, conv),
          weighted(lambda x: _conv_module(x, conv_norm, conv, branch_scale, padding),
                   block_x)),

@@ -9,9 +9,11 @@ attribute, caster), where the attribute is a dotted path from the
 `RunConfig`, such as `encoder.n_heads`.  `RunConfig.parse` casts each line
 with its row's caster and leaves unset keys at their field defaults, except
 that the task seed falls back to the run's seed; the encoder's input width
-and seed are taken from `task.dim` and `train.seed`.  `RunConfig.to_text`
-walks the table in order, so the echo lists the keys as the table does and
-leaves out a value of None (an unset loss position).
+and seed are taken from `task.dim` and `train.seed`.  A key that only one
+setting reads (`loss.position`, `loss.k`, `model.conv_kernel`) must keep its
+default under any other.  `RunConfig.to_text` walks the table in order, so
+the echo lists the keys as the table does and leaves out a value of None
+(an unset loss position).
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ import numpy as np
 
 from .data import SyntheticTaskConfig
 from .encoder import EncoderConfig
-from .objective import IntermediateLossSpec, resolve_positions
+from .objective import IntermediateLossSpec, plan_step
 
 
 class ConfigError(ValueError):
@@ -116,10 +118,20 @@ class RunConfig:
             # every intermediate position the loss can pick must be a layer
             # below the last; the random variant's lies in [L/2, L-1], so any
             # one draw of it shows whether that range exists
-            resolve_positions(loss, encoder.num_layers, np.random.default_rng(0))
+            plan_step(loss, encoder.num_layers, np.random.default_rng(0))
         except ValueError as err:
             raise ConfigError(str(err)) from None
         cfg = cls(encoder=encoder, loss=loss, task=task, **run)
+        # a key that only one setting reads keeps its default under any
+        # other, so that no echo names a value that had no effect
+        for key, default, setting, reader in (
+                ("loss.position", IntermediateLossSpec.position, "loss.variant", "lower"),
+                ("loss.k", IntermediateLossSpec.count, "loss.variant", "multiple"),
+                ("model.conv_kernel", EncoderConfig.conv_kernel, "model.kind", "conformer")):
+            value = attrgetter(_ROWS[key][0])(cfg)
+            if value != default and attrgetter(_ROWS[setting][0])(cfg) != reader:
+                raise ConfigError(
+                    f"{key}={_fmt(value)} has no effect without {setting}={reader}")
         bounds = [("train.epochs", cfg.epochs, 0), ("train.batch", cfg.batch_size, 1),
                   ("train.average_last", cfg.average_last, 1),
                   ("train.seed", cfg.seed, 0), ("task.seed", cfg.task.seed, 0)]

@@ -50,7 +50,7 @@ def required_length(labels: Sequence[int]) -> int:
 
 
 def _as_grid(grid) -> np.ndarray:
-    arr = grid.data if isinstance(grid, Tensor) else np.asarray(grid, dtype=np.float64)
+    arr = np.asarray(grid, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] < 2:
         raise ValueError(f"grid must be (T, V+1), got shape {arr.shape}")
     return arr
@@ -85,7 +85,7 @@ def ctc_forward_backward(grid: np.ndarray,
     float operations in the same order.  The gradient comes from the
     per-frame state occupancies exp(alpha + beta - logP).
     """
-    arr = _as_grid(grid).astype(np.float64, copy=False)
+    arr = _as_grid(grid)
     steps, width = arr.shape
     labels = _validate_labels(labels, width - 1)
     if steps < required_length(labels):
@@ -185,8 +185,9 @@ def greedy_decode(grid) -> list[tuple[int, ...]]:
 
     A (B, T, V+1) stack of grids gives one decode per row, from one argmax
     over the stack: a frame's symbol is kept where it is not the blank and
-    differs from the frame before it."""
-    arr = grid.data if isinstance(grid, Tensor) else np.asarray(grid, dtype=np.float64)
+    differs from the frame before it.  The argmax runs in the grid's own
+    dtype: an exact upcast would pick the same symbols."""
+    arr = np.asarray(grid)
     if arr.ndim != 3 or arr.shape[-1] < 2:
         raise ValueError(f"grid must be a (B, T, V+1) stack, got shape {arr.shape}")
     best = np.argmax(arr, axis=-1)

@@ -335,10 +335,12 @@ def _conv_module(x: Tensor, norm: Norm, p: ConvModule, branch_scale: float = 1.0
     output is zeroed at the frames `padding` marks, forward and backward,
     so the conv sees a padded utterance as it sees the utterance alone.
 
-    Forward and backward keep the operation order of the same chain built
-    from tensor primitives, so float32 results are bit-equal to it: the GLU
-    gate's gradient is ((g * a) * s) * (1 - s) and the swish's
-    g * (s + (n * s) * (1 - s)).
+    The operation order is the bit contract: float32 results change with
+    it, so the forward computes glu = a * s, conv = sum over taps j in
+    order of padded[j:j + T] * kernel[j], then norm(conv + kernel_bias),
+    n * s and the pointwise product, and the backward takes the swish's
+    gradient as g * (s + (n * s) * (1 - s)) and the GLU gate's as
+    ((g * a) * s) * (1 - s).
     """
     xn, xhat, inv = _norm(_rows(x.data), norm)
     h = _affine(xn, p.pw1_w, p.pw1_b)
@@ -400,20 +402,17 @@ def conformer_layer(x: Tensor, p: ConformerLayer, n_heads: int,
     return _feed_forward(x, p.ffn2_norm, p.ffn2, "swish", half, out_norm=p.out_norm)
 
 
-@functools.lru_cache(maxsize=64)
-def _sinusoidal_table(length: int, dim: int, dtype_name: str) -> np.ndarray:
+@functools.cache
+def sinusoidal_encoding(length: int, dim: int, dtype=np.float64) -> np.ndarray:
+    """Absolute sinusoidal positional table of shape (length, dim), made
+    once per (length, dim, dtype) and shared: callers must not write to it."""
     position = np.arange(length, dtype=np.float64)[:, None]
     index = np.arange(0, dim, 2, dtype=np.float64)[None, :]
     angle = position / np.power(10000.0, index / dim)
     table = np.zeros((length, dim))
     table[:, 0::2] = np.sin(angle)
     table[:, 1::2] = np.cos(angle)[:, : dim // 2]
-    return table.astype(dtype_name)
-
-
-def sinusoidal_encoding(length: int, dim: int, dtype=np.float64) -> np.ndarray:
-    """Absolute sinusoidal positional table of shape (length, dim)."""
-    return _sinusoidal_table(length, dim, np.dtype(dtype).name)
+    return table.astype(dtype)
 
 
 class Encoder:

@@ -6,10 +6,11 @@ CTC losses read off one or more inner layers of the same forward pass.  The
 stochastic variant instead picks one of the two losses per step with
 probability w, which matches the deterministic mix in expectation.
 
-`plan_step` resolves the variant once per step into the layer positions and
-one weight per CTC loss, so each utterance's loss is the same weighted sum
-whatever the variant: (1 - w, w/k, ..., w/k) for the deterministic ones, 1
-on the drawn branch for the stochastic one and (1,) for none.
+`plan_step` is the only reader of a variant: once per step it resolves the
+spec into the layer positions and one weight per CTC loss, so each
+utterance's loss is the same `weighted_total` whatever the variant:
+(1 - w, w/k, ..., w/k) for the deterministic ones, 1 on the drawn branch
+for the stochastic one and (1,) for none.
 """
 from __future__ import annotations
 
@@ -61,51 +62,47 @@ class LossBreakdown:
     ctc_intermediate: list[tuple[int, float]]  # (layer position, loss)
 
 
-def resolve_positions(spec: IntermediateLossSpec, num_layers: int,
-                      rng: np.random.Generator | None = None) -> list[int]:
-    """Layer indices (1-based) whose representations receive a CTC loss.
+def plan_step(spec: IntermediateLossSpec, num_layers: int,
+              rng: np.random.Generator | None = None) -> ObjectivePlan:
+    """Draw the per-step randomness once so a whole batch shares it, and
+    weigh each CTC loss of the step.
 
-    middle -> floor(L/2); lower -> the configured position (default
-    floor(L/4)); multiple -> floor(k*L/(count+1)) for k=1..count; random ->
-    one index drawn uniformly from [floor(L/2), L-1], fresh per step;
-    stochastic -> floor(L/2).
+    Positions are 1-based layer indices: multiple -> floor(k*L/(count+1))
+    for k=1..count, and middle and stochastic are multiple with one
+    sub-model, floor(L/2); lower -> the configured position (default
+    floor(L/4)); random -> one index drawn uniformly from [floor(L/2),
+    L-1], fresh per step.
     """
     if spec.variant == "none":
-        return []
+        return ObjectivePlan((), (1.0,))
     if num_layers < 2:
         raise ValueError("intermediate losses need at least 2 layers")
-    if spec.variant in ("middle", "stochastic"):
-        positions = [num_layers // 2]
-    elif spec.variant == "lower":
-        positions = [spec.position if spec.position is not None else num_layers // 4]
-    elif spec.variant == "multiple":
-        positions = [(k * num_layers) // (spec.count + 1)
-                     for k in range(1, spec.count + 1)]
-    else:  # random
-        if rng is None:
-            raise ValueError("random variant needs an rng")
-        positions = [int(rng.integers(num_layers // 2, num_layers))]
+    if spec.variant in ("random", "stochastic") and rng is None:
+        raise ValueError(f"{spec.variant} variant needs an rng")
+    count = spec.count if spec.variant == "multiple" else 1
+    if spec.variant == "lower":
+        positions = (spec.position if spec.position is not None else num_layers // 4,)
+    elif spec.variant == "random":
+        positions = (int(rng.integers(num_layers // 2, num_layers)),)
+    else:
+        positions = tuple((k * num_layers) // (count + 1) for k in range(1, count + 1))
     bad = [p for p in positions if not 1 <= p <= num_layers - 1]
     if bad:
         raise ValueError(
             f"intermediate positions {bad} outside [1, {num_layers - 1}]")
-    return positions
-
-
-def plan_step(spec: IntermediateLossSpec, num_layers: int,
-              rng: np.random.Generator | None = None) -> ObjectivePlan:
-    """Draw the per-step randomness once so a whole batch shares it, and
-    weigh each CTC loss of the step."""
-    positions = tuple(resolve_positions(spec, num_layers, rng))
-    if spec.variant == "none":
-        return ObjectivePlan(positions, (1.0,))
     if spec.variant == "stochastic":
-        if rng is None:
-            raise ValueError("stochastic variant needs an rng")
         branch = int(rng.random() < spec.weight)
         return ObjectivePlan(positions, (1.0 - branch, float(branch)), branch)
-    share = spec.weight / len(positions)
-    return ObjectivePlan(positions, (1.0 - spec.weight,) + (share,) * len(positions))
+    share = spec.weight / count
+    return ObjectivePlan(positions, (1.0 - spec.weight,) + (share,) * count)
+
+
+def weighted_total(terms: Sequence[tuple[float, Tensor]]) -> Tensor:
+    """The sum of w * loss over `terms`, (weight, scalar loss) pairs, as one
+    tape entry whose backward gives each loss g * w."""
+    terms = tuple(terms)
+    return record_op(sum(w * loss.data for w, loss in terms), [loss for _, loss in terms],
+                     lambda g: [g * w for w, _ in terms])
 
 
 @dataclass
@@ -156,9 +153,7 @@ def stack_losses(trace: LayerTrace, lengths: Sequence[int],
         except InfeasibleTargetError:
             breakdowns.append(None)
             continue
-        terms = [(w, loss) for w, loss in zip(plan.weights, losses) if w]
-        total = record_op(sum(w * loss.data for w, loss in terms), [loss for _, loss in terms],
-                          lambda g, terms=terms: [g * w for w, _ in terms])
+        total = weighted_total((w, loss) for w, loss in zip(plan.weights, losses) if w)
         breakdowns.append(LossBreakdown(total, losses[0].item(),
                                         [(pos, loss.item()) for pos, loss
                                          in zip(plan.positions, losses[1:])]))

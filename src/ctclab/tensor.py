@@ -25,13 +25,14 @@ in the order of the inputs.
 
 Tape lifetime: a tape owns its entries, and so every recorded output and
 the closures of their backward functions, but a tensor refers back to its
-tape only through a weak reference.  No reference cycle runs through a
-tape, so reference counting frees it, with all its intermediates, as soon
-as the caller drops the tape; the cyclic collector has nothing to do.
+tape only through the tape's token, a plain object that refers to nothing.
+No reference cycle runs through a tape, so reference counting frees it,
+with all its intermediates, as soon as the caller drops the tape; the
+cyclic collector has nothing to do.  A tensor recorded on an earlier tape
+enters a later one as a constant.
 """
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -53,11 +54,11 @@ class Tensor:
     Values are treated as immutable after construction (ops never write into
     an existing tensor's data).  `grad` is allocated when requires_grad is
     set and accumulates across backward passes until zero_grad().
-    `_tape` is the weak reference of the tape that recorded the tensor (or
-    enrolled it, for a leaf), and None for a tensor no tape has seen.
+    `_tape` is the token of the tape that recorded the tensor (or enrolled
+    it, for a leaf), and None for a tensor no tape has seen.
     """
 
-    __slots__ = ("data", "grad", "node_id", "_tape")
+    __slots__ = ("data", "grad", "_tape")
 
     def __init__(self, data, dtype=None, requires_grad: bool = False):
         arr = np.asarray(data, dtype=dtype)
@@ -71,8 +72,7 @@ class Tensor:
             raise FloatingPointError("tensor constructed from non-finite values")
         self.data = arr
         self.grad = np.zeros_like(arr) if requires_grad else None
-        self.node_id: int | None = None
-        self._tape: weakref.ref[Tape] | None = None
+        self._tape: object | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -100,16 +100,17 @@ class Tape:
 
     Single-owner: enter the context, run the forward computation, then call
     backward(loss).  Entries are stored in execution order, which is a
-    topological order by construction.  Tensors hold `_ref`, made once per
-    tape, rather than the tape itself, so the tape lives exactly as long as
-    its owner keeps it.
+    topological order by construction.  Tensors hold the tape's `_token`,
+    made once per tape, rather than the tape itself, so the tape lives
+    exactly as long as its owner keeps it.  The sweep keys adjoints by
+    `id()`: every tensor holding the token is an entry's output or a leaf,
+    which the tape keeps alive, so no two of them share an id.
     """
 
     def __init__(self):
         self._entries: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
         self._leaves: list[Tensor] = []
-        self._next_id = 0
-        self._ref = weakref.ref(self)
+        self._token = object()
 
     def __enter__(self) -> "Tape":
         if _ACTIVE_TAPES:
@@ -120,25 +121,20 @@ class Tape:
     def __exit__(self, *exc) -> None:
         _ACTIVE_TAPES.pop()
 
-    def _node_id(self, t: Tensor) -> int | None:
-        if t._tape is self._ref and t.node_id is not None:
-            return t.node_id
+    def _enrolled(self, t: Tensor) -> bool:
+        if t._tape is self._token:
+            return True
         if t.grad is not None:  # un-enrolled leaf parameter
-            t._tape = self._ref
-            t.node_id = self._next_id
-            self._next_id += 1
+            t._tape = self._token
             self._leaves.append(t)
-            return t.node_id
-        return None
+            return True
+        return False
 
     def _maybe_record(self, out: Tensor, inputs: tuple[Tensor, ...],
                       backward_fn: Callable) -> None:
-        ids = [self._node_id(t) for t in inputs]  # enroll every leaf input
-        if all(i is None for i in ids):
+        if not any([self._enrolled(t) for t in inputs]):  # enroll every leaf input
             return
-        out._tape = self._ref
-        out.node_id = self._next_id
-        self._next_id += 1
+        out._tape = self._token
         self._entries.append((out, inputs, backward_fn))
 
     def backward(self, loss: Tensor) -> None:
@@ -149,21 +145,21 @@ class Tape:
         """
         if loss.data.size != 1:
             raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
-        ref = self._ref
-        if loss._tape is not ref or loss.node_id is None:
+        token = self._token
+        if loss._tape is not token:
             raise RuntimeError("loss was not recorded on this tape")
-        adjoint: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
+        adjoint: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
         for out, inputs, backward_fn in reversed(self._entries):
-            g = adjoint.pop(out.node_id, None)
+            g = adjoint.pop(id(out), None)
             if g is None:
                 continue
             for t, gi in zip(inputs, backward_fn(g)):
-                if gi is None or t._tape is not ref or t.node_id is None:
+                if gi is None or t._tape is not token:
                     continue
-                prev = adjoint.get(t.node_id)
-                adjoint[t.node_id] = gi if prev is None else prev + gi
+                prev = adjoint.get(id(t))
+                adjoint[id(t)] = gi if prev is None else prev + gi
         for leaf in self._leaves:
-            g = adjoint.get(leaf.node_id)
+            g = adjoint.get(id(leaf))
             if g is not None:
                 leaf.grad += g
 
@@ -175,7 +171,6 @@ def _finish(data: np.ndarray, inputs: tuple[Tensor, ...],
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.node_id = None
     out._tape = None
     tape = _active_tape()
     if tape is not None:

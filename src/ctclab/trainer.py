@@ -33,8 +33,9 @@ from .ctc import CTCHead
 from .data import Utterance, generate_dataset
 from .encoder import Encoder, LayerTrace
 from .metrics import corpus_rate
-from .objective import CTCHeads, LossBreakdown, plan_step, stack_losses, eval_decode
-from .tensor import Tape, Tensor, record_op
+from .objective import (CTCHeads, LossBreakdown, eval_decode, plan_step, stack_losses,
+                        weighted_total)
+from .tensor import Tape, Tensor
 
 logger = logging.getLogger(__name__)
 
@@ -150,7 +151,6 @@ class OptimizerState:
 
 @dataclass
 class Checkpoint:
-    version: int
     params: dict[str, np.ndarray]  # float32, insertion-ordered
     config_echo: str
 
@@ -158,7 +158,7 @@ class Checkpoint:
 def checkpoint_from_model(model: Model, config_echo: str) -> Checkpoint:
     params = {name: p.data.astype(np.float32, copy=True)
               for name, p in model.parameters().items()}
-    return Checkpoint(CHECKPOINT_VERSION, params, config_echo)
+    return Checkpoint(params, config_echo)
 
 
 def load_model_state(model: Model, ckpt: Checkpoint) -> None:
@@ -178,7 +178,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     u32 name length + name, u8 rank, u32 extents, little-endian binary32
     payload; finally a u32-length-prefixed UTF-8 config echo."""
     chunks = [CHECKPOINT_MAGIC,
-              struct.pack("<II", ckpt.version, len(ckpt.params))]
+              struct.pack("<II", CHECKPOINT_VERSION, len(ckpt.params))]
     for name, arr in ckpt.params.items():
         if arr.dtype != np.float32:
             raise ValueError(f"{name}: checkpoint payloads must be float32")
@@ -233,7 +233,7 @@ def load_checkpoint(path) -> Checkpoint:
     if offset != len(blob):
         raise ValueError(f"{path}: {len(blob) - offset} trailing bytes after "
                          f"the config echo")
-    return Checkpoint(version, params, echo)
+    return Checkpoint(params, echo)
 
 
 def average_checkpoints(paths) -> Checkpoint:
@@ -256,7 +256,7 @@ def average_checkpoints(paths) -> Checkpoint:
         # permutation-invariant before the final float32 rounding
         stack = np.stack([c.params[name].astype(np.float64) for c in ckpts])
         averaged[name] = stack.mean(axis=0).astype(np.float32)
-    return Checkpoint(first.version, averaged, first.config_echo)
+    return Checkpoint(averaged, first.config_echo)
 
 
 # --- training & evaluation ----------------------------------------------------
@@ -301,12 +301,9 @@ def step_losses(model: Model, batch: list[Utterance], plan,
             trace = model.trace(stack, lengths=group_lengths, draws=draws[group])
             losses = stack_losses(trace, group_lengths, [batch[i].labels for i in group],
                                   model.heads, plan)
-            totals = tuple(b.total for b in losses if b is not None)
-            share = None
-            if totals:  # the micro-batch's share of the step's mean loss
-                c = 1.0 / len(batch)
-                share = record_op(sum(t.data for t in totals) * c, totals,
-                                  lambda g: [g * c] * len(totals))
+            totals = [(1.0 / len(batch), b.total) for b in losses if b is not None]
+            # the micro-batch's share of the step's mean loss
+            share = weighted_total(totals) if totals else None
         if share is not None:
             tape.backward(share)
         for i, breakdown in zip(group, losses):

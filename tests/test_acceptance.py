@@ -23,7 +23,6 @@ from ctclab.objective import (
     CTCHeads,
     IntermediateLossSpec,
     plan_step,
-    resolve_positions,
     stack_losses,
 )
 from ctclab.tensor import Tensor, take
@@ -132,17 +131,16 @@ def test_criterion_4_loss_composition():
 
 
 def test_criterion_5_position_resolution():
-    middle = resolve_positions(IntermediateLossSpec("middle"), 12)
-    k3 = resolve_positions(IntermediateLossSpec("multiple", count=3), 24)
-    k7 = resolve_positions(IntermediateLossSpec("multiple", count=7), 48)
-    exact_ok = (middle == [6] and k3 == [6, 12, 18]
-                and k7 == [6, 12, 18, 24, 30, 36, 42])
+    middle = plan_step(IntermediateLossSpec("middle"), 12).positions
+    k3 = plan_step(IntermediateLossSpec("multiple", count=3), 24).positions
+    k7 = plan_step(IntermediateLossSpec("multiple", count=7), 48).positions
+    exact_ok = (middle == (6,) and k3 == (6, 12, 18)
+                and k7 == (6, 12, 18, 24, 30, 36, 42))
     rng = np.random.default_rng(0)
     random_ok = True
     for num_layers in (2, 5, 12, 48):
         for _ in range(300):
-            (pos,) = resolve_positions(IntermediateLossSpec("random"),
-                                       num_layers, rng)
+            (pos,) = plan_step(IntermediateLossSpec("random"), num_layers, rng).positions
             random_ok &= num_layers // 2 <= pos <= num_layers - 1
     report(5, exact_ok and random_ok,
            f"middle/12 -> {middle}, K=3/24 -> {k3}, K=7/48 -> {k7}; "
@@ -211,7 +209,7 @@ def test_criterion_8_checkpoint_averaging(tmp_path):
     rng = np.random.default_rng(8)
     params = {"w": rng.normal(size=(4, 3)).astype(np.float32),
               "b": rng.normal(size=5).astype(np.float32)}
-    ckpt = Checkpoint(1, params, "train.seed=1\n")
+    ckpt = Checkpoint(params, "train.seed=1\n")
     path = tmp_path / "a.ckpt"
     save_checkpoint(path, ckpt)
     loaded = load_checkpoint(path)
@@ -223,7 +221,7 @@ def test_criterion_8_checkpoint_averaging(tmp_path):
     same = average_checkpoints([path, tmp_path / "a2.ckpt"])
     idempotent_ok = all((same.params[n] == params[n]).all() for n in params)
 
-    neg = Checkpoint(1, {n: -a for n, a in params.items()}, ckpt.config_echo)
+    neg = Checkpoint({n: -a for n, a in params.items()}, ckpt.config_echo)
     save_checkpoint(tmp_path / "neg.ckpt", neg)
     zeros = average_checkpoints([path, tmp_path / "neg.ckpt"])
     zeros_ok = all((zeros.params[n] == 0.0).all() for n in params)

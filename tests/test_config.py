@@ -134,6 +134,11 @@ class TestParsing:
         ("loss.variant=lower\nloss.position=9", r"positions \[9\] outside \[1, 3\]"),
         ("loss.variant=lower\nloss.position=4", r"positions \[4\] outside \[1, 3\]"),
         ("loss.variant=multiple\nloss.k=9", "outside"),
+        ("loss.position=2", "loss.position=2 has no effect without loss.variant=lower"),
+        ("loss.variant=random\nloss.k=2",
+         "loss.k=2 has no effect without loss.variant=multiple"),
+        ("model.conv_kernel=3",
+         "model.conv_kernel=3 has no effect without model.kind=conformer"),
         ("model.layers=1", "at least 2 layers"),
         ("model.layers=1\nloss.variant=lower", "at least 2 layers"),
         ("model.layers=1\nloss.variant=random", "at least 2 layers"),
@@ -195,7 +200,8 @@ class TestEcho:
 
 
 # a value other than the default for each key, valid with every other key
-# at its default
+# at its default, except that a key only one setting reads is valid beside
+# that setting (READERS)
 OTHER_VALUES = {
     "model.kind": "conformer", "model.layers": "6", "model.d_model": "32",
     "model.heads": "2", "model.d_ff": "96", "model.conv_kernel": "5",
@@ -207,6 +213,8 @@ OTHER_VALUES = {
     "task.seed": "3", "train.epochs": "3", "train.batch": "8", "train.seed": "7",
     "train.average_last": "2",
 }
+READERS = {"loss.position": ("loss.variant", "lower"), "loss.k": ("loss.variant", "multiple"),
+           "model.conv_kernel": ("model.kind", "conformer")}
 
 
 def echo_values(cfg):
@@ -216,8 +224,9 @@ def echo_values(cfg):
 class TestTable:
     @pytest.mark.parametrize("key, attr, caster", _TABLE, ids=[row[0] for row in _TABLE])
     def test_key_sets_its_attribute_and_echo_line_only(self, key, attr, caster):
-        default = RunConfig.default()
-        cfg = RunConfig.parse(f"{key}={OTHER_VALUES[key]}\n")
+        reader = "{}={}\n".format(*READERS[key]) if key in READERS else ""
+        default = RunConfig.parse(reader)
+        cfg = RunConfig.parse(f"{reader}{key}={OTHER_VALUES[key]}\n")
         value = attrgetter(attr)(cfg)
         assert value == caster(OTHER_VALUES[key]) != attrgetter(attr)(default)
         before, after = echo_values(default), echo_values(cfg)
@@ -252,7 +261,7 @@ def config_texts(draw):
             ["true", "false", "1", "0", "yes", "no"])),
         "loss.variant": draw(st.sampled_from(VARIANTS)),
         "loss.w": draw(unit),
-        "loss.k": draw(st.integers(1, 4)),
+        "loss.k": draw(st.integers(1, min(4, layers - 1))),
         "loss.position": draw(st.integers(1, layers - 1)),
         "task.vocab": vocab,
         "task.dim": draw(st.integers(1, 64)),
@@ -272,13 +281,18 @@ def config_texts(draw):
     }
     # keys whose valid values depend on one another are set or left together
     groups = [["model.heads", "model.d_model"],
+              ["model.layers", "loss.k", "loss.position"],
               ["task.vocab", "task.min_label", "task.max_label",
                "task.min_duration", "task.max_duration"]]
     grouped = {key for group in groups for key in group}
     groups += [[key] for key in values if key not in grouped]
-    kept = [(key, values[key]) for group in groups if draw(st.booleans())
-            for key in group]
-    lines = draw(st.permutations(kept))
+    kept = {key: values[key] for group in groups if draw(st.booleans()) for key in group}
+    # a key only one setting reads is set only beside that setting, which it
+    # sets unless another kept value of the setting overrules it
+    for key, (setting, value) in READERS.items():
+        if key in kept and kept.setdefault(setting, value) != value:
+            del kept[key]
+    lines = draw(st.permutations(list(kept.items())))
     return "".join(f"{key}={value!r}\n" if isinstance(value, float)
                    else f"{key}={value}\n" for key, value in lines)
 

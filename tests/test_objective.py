@@ -10,7 +10,6 @@ from ctclab.objective import (
     ObjectivePlan,
     eval_decode,
     plan_step,
-    resolve_positions,
     stack_losses,
     total_loss,
 )
@@ -35,6 +34,10 @@ def grads_of(enc, heads, f):
     return {k: p.grad.copy() for k, p in params.items()}
 
 
+def positions(spec, num_layers, rng=None):
+    return plan_step(spec, num_layers, rng).positions
+
+
 class TestSpecValidation:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
@@ -50,57 +53,59 @@ class TestSpecValidation:
 
 
 class TestResolvePositions:
+    """The layer positions `plan_step` resolves a spec into."""
+
     def test_middle_twelve(self):
-        assert resolve_positions(IntermediateLossSpec("middle"), 12) == [6]
+        assert positions(IntermediateLossSpec("middle"), 12) == (6,)
 
     def test_multiple_three_of_twentyfour(self):
         spec = IntermediateLossSpec("multiple", count=3)
-        assert resolve_positions(spec, 24) == [6, 12, 18]
+        assert positions(spec, 24) == (6, 12, 18)
 
     def test_multiple_seven_of_fortyeight(self):
         spec = IntermediateLossSpec("multiple", count=7)
-        assert resolve_positions(spec, 48) == [6, 12, 18, 24, 30, 36, 42]
+        assert positions(spec, 48) == (6, 12, 18, 24, 30, 36, 42)
 
     def test_multiple_one_equals_middle_for_all_depths(self):
         one = IntermediateLossSpec("multiple", count=1)
         middle = IntermediateLossSpec("middle")
         for num_layers in range(2, 60):
-            assert resolve_positions(one, num_layers) == \
-                resolve_positions(middle, num_layers)
+            assert positions(one, num_layers) == positions(middle, num_layers)
 
     def test_lower_default_quarter(self):
-        assert resolve_positions(IntermediateLossSpec("lower"), 24) == [6]
+        assert positions(IntermediateLossSpec("lower"), 24) == (6,)
 
     def test_lower_explicit_position(self):
         spec = IntermediateLossSpec("lower", position=3)
-        assert resolve_positions(spec, 12) == [3]
+        assert positions(spec, 12) == (3,)
 
     def test_random_draws_stay_in_upper_half(self):
         spec = IntermediateLossSpec("random")
         rng = np.random.default_rng(0)
         for num_layers in (2, 4, 12, 48):
             lo, hi = num_layers // 2, num_layers - 1
-            draws = {resolve_positions(spec, num_layers, rng)[0] for _ in range(500)}
+            draws = {positions(spec, num_layers, rng)[0] for _ in range(500)}
             assert min(draws) >= lo and max(draws) <= hi
             if num_layers >= 4:
                 assert len(draws) > 1  # actually resamples
 
     def test_none_is_empty(self):
-        assert resolve_positions(IntermediateLossSpec("none"), 12) == []
+        assert positions(IntermediateLossSpec("none"), 12) == ()
 
     def test_out_of_range_position_rejected(self):
         with pytest.raises(ValueError):
-            resolve_positions(IntermediateLossSpec("lower", position=12), 12)
+            positions(IntermediateLossSpec("lower", position=12), 12)
         with pytest.raises(ValueError):
-            resolve_positions(IntermediateLossSpec("lower", position=0), 12)
+            positions(IntermediateLossSpec("lower", position=0), 12)
 
     def test_too_shallow_rejected(self):
         with pytest.raises(ValueError):
-            resolve_positions(IntermediateLossSpec("middle"), 1)
+            positions(IntermediateLossSpec("middle"), 1)
 
     def test_random_needs_rng(self):
-        with pytest.raises(ValueError):
-            resolve_positions(IntermediateLossSpec("random"), 12)
+        for variant in ("random", "stochastic"):
+            with pytest.raises(ValueError, match=f"{variant} variant needs an rng"):
+                positions(IntermediateLossSpec(variant), 12)
 
 
 class TestTotalLoss:

@@ -187,6 +187,27 @@ class TestBackward:
         with pytest.raises(RuntimeError):
             Tape().backward(loss)
 
+    def test_tensor_of_an_earlier_tape_enters_the_next_as_a_constant(self):
+        p = Tensor([1.0, 2.0], requires_grad=True)
+        gc.disable()
+        try:
+            with Tape() as first:
+                old = square(p)
+            ref = weakref.ref(first)
+            del first
+            assert ref() is None  # `old` does not keep its tape alive
+        finally:
+            gc.enable()
+        with Tape() as tape:
+            alone = weighted_sum(old, np.ones(2))
+            loss = weighted_sum(add(old, square(p)), np.ones(2))
+        assert alone._tape is None  # an op on constants only makes no entry
+        assert len(tape._entries) == 3  # square, add and weighted_sum
+        tape.backward(loss)
+        np.testing.assert_array_equal(p.grad, [2.0, 4.0])  # none through `old`
+        with pytest.raises(RuntimeError):
+            tape.backward(alone)
+
     def test_record_op_custom_gradient(self):
         p = Tensor([3.0], requires_grad=True)
         with Tape() as tape:
