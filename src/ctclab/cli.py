@@ -41,8 +41,10 @@ from .encoder import (  # noqa: E402
     _named_tensors,
     self_attention,
 )
+from .objective import plan_step, stack_losses  # noqa: E402
 from .tensor import Tensor, add, gradcheck, put_rows, take, weighted_sum  # noqa: E402
 from .trainer import (  # noqa: E402
+    Model,
     TrainingDiverged,
     average_checkpoints,
     evaluate,
@@ -129,20 +131,24 @@ def _primitive_checks(rng):
 
 
 def _composite_check(kind, num_layers, d_model, steps, rng):
-    cfg = EncoderConfig(num_layers=num_layers, kind=kind, d_model=d_model,
-                        n_heads=2, d_ff=d_model + 4, conv_kernel=3,
-                        survival_floor=1.0, input_dim=5,
-                        seed=int(rng.integers(2**31)))
-    enc = Encoder.build(cfg)
-    head = CTCHead.build(d_model, 3, rng)
-    x = Tensor(rng.normal(size=(1, steps, 5)))
-    labels = (1, 3)
-    params = dict(enc.parameters())
-    params.update({f"head.{k}": v for k, v in head.parameters().items()})
+    """The training loss of one (1, T, 5) utterance through the model a
+    config builds, in float64: the default InterCTC loss on its shared head
+    from 2 layers, the final CTC alone below."""
+    text = (f"model.kind={kind}\nmodel.layers={num_layers}\nmodel.d_model={d_model}\n"
+            f"model.heads=2\nmodel.d_ff={d_model + 4}\nmodel.p_last=1.0\n"
+            f"task.vocab=3\ntask.dim=5\ntrain.seed={int(rng.integers(2**31))}\n")
+    if kind == "conformer":
+        text += "model.conv_kernel=3\n"
+    if num_layers < 2:
+        text += "loss.variant=none\n"
+    cfg = RunConfig.parse(text)
+    model = Model.from_run_config(cfg, dtype=np.float64)
+    plan = plan_step(cfg.loss, num_layers)
+    x = rng.normal(size=(1, steps, 5))
 
     def f():
-        return ctc_loss(take(head(enc.forward(x).final), 0), labels)
-    return params, f
+        return stack_losses(model.trace(x), [(1, 3)], model.heads, plan)[0].total
+    return model.parameters(), f
 
 
 def gradcheck_battery(scale: str = "small", seed: int = 0):

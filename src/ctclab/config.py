@@ -146,10 +146,6 @@ class RunConfig:
     def load(cls, path) -> "RunConfig":
         return cls.parse(Path(path).read_text())
 
-    @classmethod
-    def default(cls) -> "RunConfig":
-        return cls.parse("")
-
     @property
     def layers(self) -> int:
         """`encoder.num_layers`, kept for `bench/run.py`."""

@@ -88,10 +88,12 @@ def survival_probability(layer_index: int, num_layers: int, floor: float) -> flo
 
 @dataclass
 class LayerTrace:
-    """Per-layer (B, T, D) outputs x_1..x_L, and the keep/skip mask the
-    draws gave: one list of L 0/1 entries per row, all ones for a forward
-    without draws."""
+    """Per-layer (B, T, D) outputs x_1..x_L, each row's frame count (the
+    `lengths` the forward checked), and the keep/skip mask the draws gave:
+    one list of L 0/1 entries per row, all ones for a forward without
+    draws."""
     states: list[Tensor]
+    lengths: list[int]
     skip_mask: list[list[int]]  # 1 = layer applied, 0 = skipped (identity)
 
     @property
@@ -541,7 +543,7 @@ class Encoder:
                                    Padding.of(lengths[rows], steps, self.dtype))
                 x = put_rows(x, rows, kept)
             states.append(x)
-        return LayerTrace(states, keep.astype(int).tolist())
+        return LayerTrace(states, lengths.tolist(), keep.astype(int).tolist())
 
     def parameters(self) -> dict[str, Tensor]:
         named = {"frontend.weight": self.frontend_w, "frontend.bias": self.frontend_b}

@@ -107,22 +107,15 @@ def weighted_total(terms: Sequence[tuple[float, Tensor]]) -> Tensor:
 
 @dataclass
 class CTCHeads:
-    """Output heads for the final and intermediate representations; by
-    default one shared projection serves both."""
+    """Output heads for the final and intermediate representations.  By
+    default one projection serves both: a shared head is the same `CTCHead`
+    twice, `CTCHeads(head, head)`, and its parameters are named once."""
 
     final: CTCHead
     intermediate: CTCHead
 
-    @classmethod
-    def shared(cls, head: CTCHead) -> "CTCHeads":
-        return cls(head, head)
-
-    @property
-    def is_shared(self) -> bool:
-        return self.intermediate is self.final
-
     def parameters(self) -> dict[str, Tensor]:
-        if self.is_shared:
+        if self.intermediate is self.final:
             return {f"head.{k}": v for k, v in self.final.parameters().items()}
         named = {f"head_final.{k}": v for k, v in self.final.parameters().items()}
         named.update({f"head_inter.{k}": v
@@ -130,12 +123,11 @@ class CTCHeads:
         return named
 
 
-def stack_losses(trace: LayerTrace, lengths: Sequence[int],
-                 labels: Sequence[Sequence[int]], heads: CTCHeads,
+def stack_losses(trace: LayerTrace, labels: Sequence[Sequence[int]], heads: CTCHeads,
                  plan: ObjectivePlan) -> list[LossBreakdown | None]:
     """The training loss of each utterance of a padded (B, T, D) trace,
-    whose rows are `lengths` frames long, or None for an utterance whose
-    target its frames cannot carry.
+    whose rows are `trace.lengths` frames long, or None for an utterance
+    whose target its frames cannot carry.
 
     Each head runs once over the whole stack; each utterance's grid is then
     its own (T_b, V+1) rows, so every CTC call sees the unpadded grid.  An
@@ -146,7 +138,7 @@ def stack_losses(trace: LayerTrace, lengths: Sequence[int],
     grids = [heads.final(trace.final)]
     grids += [heads.intermediate(trace.states[pos - 1]) for pos in plan.positions]
     breakdowns: list[LossBreakdown | None] = []
-    for row, (length, target) in enumerate(zip(lengths, labels)):
+    for row, (length, target) in enumerate(zip(trace.lengths, labels)):
         parts = [take(grid, (row, slice(length))) for grid in grids]
         try:
             losses = [ctc_loss(part, target) for part in parts]
@@ -166,9 +158,9 @@ def total_loss(trace: LayerTrace, labels: Sequence[int], spec: IntermediateLossS
     or InfeasibleTargetError where its frames cannot carry `labels`.  The
     program does not call it, and `spec` is unused (`plan` carries it): it
     is kept for `bench/run.py`'s directional gradient check."""
-    (breakdown,) = stack_losses(trace, [trace.final.shape[1]], [labels], heads, plan)
+    (breakdown,) = stack_losses(trace, [labels], heads, plan)
     if breakdown is None:
-        raise InfeasibleTargetError(f"{trace.final.shape[1]} frames cannot carry {labels}")
+        raise InfeasibleTargetError(f"{trace.lengths[0]} frames cannot carry {labels}")
     return breakdown
 
 

@@ -25,11 +25,13 @@ in the order of the inputs.
 
 Tape lifetime: a tape owns its entries, and so every recorded output and
 the closures of their backward functions, but a tensor refers back to its
-tape only through the tape's token, a plain object that refers to nothing.
-No reference cycle runs through a tape, so reference counting frees it,
-with all its intermediates, as soon as the caller drops the tape; the
-cyclic collector has nothing to do.  A tensor recorded on an earlier tape
-enters a later one as a constant.
+tape only through the tape's token, a plain object that refers to nothing,
+and only a recorded output holds it: a leaf is known by its gradient
+buffer, so a forward writes nothing to the parameters it reads.  No
+reference cycle runs through a tape, so reference counting frees it, with
+all its intermediates, as soon as the caller drops the tape; the cyclic
+collector has nothing to do.  A tensor recorded on an earlier tape enters
+a later one as a constant.
 """
 from __future__ import annotations
 
@@ -54,8 +56,8 @@ class Tensor:
     Values are treated as immutable after construction (ops never write into
     an existing tensor's data).  `grad` is allocated when requires_grad is
     set and accumulates across backward passes until zero_grad().
-    `_tape` is the token of the tape that recorded the tensor (or enrolled
-    it, for a leaf), and None for a tensor no tape has seen.
+    `_tape` is the token of the tape that recorded the tensor as an op's
+    output, and None for every other tensor, leaves included.
     """
 
     __slots__ = ("data", "grad", "_tape")
@@ -100,16 +102,16 @@ class Tape:
 
     Single-owner: enter the context, run the forward computation, then call
     backward(loss).  Entries are stored in execution order, which is a
-    topological order by construction.  Tensors hold the tape's `_token`,
-    made once per tape, rather than the tape itself, so the tape lives
-    exactly as long as its owner keeps it.  The sweep keys adjoints by
-    `id()`: every tensor holding the token is an entry's output or a leaf,
-    which the tape keeps alive, so no two of them share an id.
+    topological order by construction.  An op is recorded when an input is
+    on this tape or is a leaf, a tensor with a gradient buffer.  Recorded
+    outputs hold the tape's `_token`, made once per tape, rather than the
+    tape itself, so the tape lives exactly as long as its owner keeps it.
+    The sweep keys the adjoints of outputs and leaves by `id()`: the
+    entries hold them all, so no two share an id.
     """
 
     def __init__(self):
         self._entries: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
-        self._leaves: list[Tensor] = []
         self._token = object()
 
     def __enter__(self) -> "Tape":
@@ -121,27 +123,20 @@ class Tape:
     def __exit__(self, *exc) -> None:
         _ACTIVE_TAPES.pop()
 
-    def _enrolled(self, t: Tensor) -> bool:
-        if t._tape is self._token:
-            return True
-        if t.grad is not None:  # un-enrolled leaf parameter
-            t._tape = self._token
-            self._leaves.append(t)
-            return True
-        return False
-
     def _maybe_record(self, out: Tensor, inputs: tuple[Tensor, ...],
                       backward_fn: Callable) -> None:
-        if not any([self._enrolled(t) for t in inputs]):  # enroll every leaf input
-            return
-        out._tape = self._token
-        self._entries.append((out, inputs, backward_fn))
+        token = self._token
+        if any(t._tape is token or t.grad is not None for t in inputs):
+            out._tape = token
+            self._entries.append((out, inputs, backward_fn))
 
     def backward(self, loss: Tensor) -> None:
         """Propagate d(loss)=1 through the tape, accumulating leaf grads.
 
         Each reachable gradient is populated in one traversal; fan-out
-        accumulates.  Repeated calls without zero_grad() keep accumulating.
+        accumulates, and each leaf's adjoints are summed before the total is
+        added to its `grad`.  Repeated calls without zero_grad() keep
+        accumulating.
         """
         if loss.data.size != 1:
             raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -149,19 +144,22 @@ class Tape:
         if loss._tape is not token:
             raise RuntimeError("loss was not recorded on this tape")
         adjoint: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+        leaves: dict[int, Tensor] = {}
         for out, inputs, backward_fn in reversed(self._entries):
             g = adjoint.pop(id(out), None)
             if g is None:
                 continue
             for t, gi in zip(inputs, backward_fn(g)):
-                if gi is None or t._tape is not token:
+                if gi is None:
                     continue
+                if t._tape is not token:
+                    if t.grad is None:  # a constant
+                        continue
+                    leaves[id(t)] = t
                 prev = adjoint.get(id(t))
                 adjoint[id(t)] = gi if prev is None else prev + gi
-        for leaf in self._leaves:
-            g = adjoint.get(id(leaf))
-            if g is not None:
-                leaf.grad += g
+        for key, leaf in leaves.items():
+            leaf.grad += adjoint[key]
 
 
 def _finish(data: np.ndarray, inputs: tuple[Tensor, ...],
@@ -185,11 +183,6 @@ def record_op(data, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
     return _finish(np.asarray(data), tuple(inputs), backward_fn)
 
 
-def _check_same_dtype(a: Tensor, b: Tensor, op: str) -> None:
-    if a.data.dtype != b.data.dtype:
-        raise ValueError(f"{op}: dtype mismatch {a.data.dtype} vs {b.data.dtype}")
-
-
 # ---------------------------------------------------------------------------
 # primitives
 
@@ -198,7 +191,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum of two tensors of one shape and dtype; nothing is
     broadcast.  The program itself does not call it: it is kept for
     `bench/run.py`, which sums per-utterance losses with it."""
-    _check_same_dtype(a, b, "add")
+    if a.data.dtype != b.data.dtype:
+        raise ValueError(f"add: dtype mismatch {a.data.dtype} vs {b.data.dtype}")
     if a.shape != b.shape:
         raise ValueError(f"add: shape mismatch {a.shape} vs {b.shape}")
     return _finish(a.data + b.data, (a, b), lambda g: (g, g))

@@ -86,12 +86,9 @@ class Model:
         head_rng = np.random.default_rng([cfg.seed, 7])
         d_model = cfg.encoder.d_model
         final = CTCHead.build(d_model, cfg.task.vocab, head_rng, dtype=dtype)
-        if cfg.separate_heads:
-            inter = CTCHead.build(d_model, cfg.task.vocab, head_rng, dtype=dtype)
-            heads = CTCHeads(final, inter)
-        else:
-            heads = CTCHeads.shared(final)
-        return cls(encoder, heads)
+        inter = (CTCHead.build(d_model, cfg.task.vocab, head_rng, dtype=dtype)
+                 if cfg.separate_heads else final)
+        return cls(encoder, CTCHeads(final, inter))
 
     def parameters(self) -> dict[str, Tensor]:
         named = {f"encoder.{k}": v for k, v in self.encoder.parameters().items()}
@@ -299,8 +296,7 @@ def step_losses(model: Model, batch: list[Utterance], plan,
             stack[row, :lengths[i]] = batch[i].features
         with Tape() as tape:
             trace = model.trace(stack, lengths=group_lengths, draws=draws[group])
-            losses = stack_losses(trace, group_lengths, [batch[i].labels for i in group],
-                                  model.heads, plan)
+            losses = stack_losses(trace, [batch[i].labels for i in group], model.heads, plan)
             totals = [(1.0 / len(batch), b.total) for b in losses if b is not None]
             # the micro-batch's share of the step's mean loss
             share = weighted_total(totals) if totals else None
@@ -327,7 +323,6 @@ def run_training(cfg: RunConfig, out_dir) -> TrainResult:
     paths = [out_dir / "epoch_0.ckpt"]
     save_checkpoint(paths[0], checkpoint_from_model(model, echo))
     metrics: list[tuple[int, float, float]] = []
-    metrics_lines: list[str] = []
     skipped = 0
 
     for epoch in range(1, cfg.epochs + 1):
@@ -365,14 +360,13 @@ def run_training(cfg: RunConfig, out_dir) -> TrainResult:
             raise TrainingDiverged(
                 f"non-finite value in the dev decode after epoch {epoch}: {err}") from err
         metrics.append((epoch, train_loss, dev_ter))
-        metrics_lines.append(f"{epoch}\t{train_loss:.6f}\t{dev_ter:.6f}")
         logger.info("epoch %d: train_loss=%.4f dev_ter=%.4f", epoch, train_loss, dev_ter)
         path = out_dir / f"epoch_{epoch}.ckpt"
         save_checkpoint(path, checkpoint_from_model(model, echo))
         paths.append(path)
 
-    (out_dir / "metrics.log").write_text("\n".join(metrics_lines) + "\n"
-                                         if metrics_lines else "")
+    (out_dir / "metrics.log").write_text(
+        "".join(f"{e}\t{loss:.6f}\t{ter:.6f}\n" for e, loss, ter in metrics))
     averaged_path = None
     if cfg.epochs >= 1:
         window = min(cfg.average_last, cfg.epochs)

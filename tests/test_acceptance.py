@@ -97,7 +97,8 @@ def _frozen_model():
     cfg = EncoderConfig(num_layers=4, d_model=8, n_heads=2, d_ff=12,
                         survival_floor=1.0, input_dim=5, seed=42)
     enc = Encoder.build(cfg)
-    heads = CTCHeads.shared(CTCHead.build(8, 3, np.random.default_rng(43)))
+    head = CTCHead.build(8, 3, np.random.default_rng(43))
+    heads = CTCHeads(head, head)
     x = Tensor(np.random.default_rng(44).normal(size=(1, 6, 5)))
     return enc, heads, x, (1, 3)
 
@@ -109,7 +110,7 @@ def test_criterion_4_loss_composition():
         return enc.forward(x)
 
     def loss(layers, spec, rng=None):  # the one utterance's row of stack_losses
-        (breakdown,) = stack_losses(layers, [6], [labels], heads, plan_step(spec, 4, rng))
+        (breakdown,) = stack_losses(layers, [labels], heads, plan_step(spec, 4, rng))
         return breakdown
 
     plain = ctc_loss(take(heads.final(trace().final), 0), labels).item()
@@ -150,7 +151,7 @@ def test_criterion_5_position_resolution():
 def test_criterion_6_synthetic_task_training(tmp_path):
     # the trained model is, per the training protocol, the average of the
     # last checkpoints; its dev error is what the criterion measures
-    cfg = RunConfig.default()
+    cfg = RunConfig.parse("")
     started = time.perf_counter()
     result = run_training(cfg, tmp_path)
     dev = generate_dataset(cfg.task, "dev")

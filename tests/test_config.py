@@ -72,7 +72,7 @@ CONFORMER_LOWER_ECHO = (
 
 class TestParsing:
     def test_defaults(self):
-        cfg = RunConfig.default()
+        cfg = RunConfig.parse("")
         assert cfg.encoder.kind == "transformer"
         assert cfg.encoder.num_layers == 4
         assert cfg.encoder.d_model == 64
@@ -175,7 +175,7 @@ class TestEcho:
         assert RunConfig.parse(cfg.to_text()) == cfg
 
     def test_default_round_trip(self):
-        cfg = RunConfig.default()
+        cfg = RunConfig.parse("")
         assert RunConfig.parse(cfg.to_text()) == cfg
 
     def test_lower_position_round_trip(self):
@@ -193,7 +193,7 @@ class TestEcho:
         assert cfg.loss.weight == 0.3
 
     def test_default_echo_pinned(self):
-        assert RunConfig.default().to_text() == DEFAULT_ECHO
+        assert RunConfig.parse("").to_text() == DEFAULT_ECHO
 
     def test_conformer_lower_echo_pinned(self):
         assert RunConfig.parse(CONFORMER_LOWER_TEXT).to_text() == CONFORMER_LOWER_ECHO

@@ -482,6 +482,12 @@ class TestStacked:
                             "frontend.b": enc.frontend_b})
         assert report.max_rel_error < 1e-6
 
+    def test_trace_carries_its_lengths(self):
+        enc = Encoder.build(tiny_config())
+        feats = Tensor(np.random.default_rng(23).normal(size=(3, 6, 5)))
+        assert enc.forward(feats, lengths=[6, 2, 4]).lengths == [6, 2, 4]
+        assert enc.forward(feats).lengths == [6, 6, 6]
+
 
 class TestKeptRows:
     """A train stack runs each layer on the rows that keep it; the others

@@ -20,8 +20,8 @@ def make_model(num_layers=4, seed=42, vocab=3):
     cfg = EncoderConfig(num_layers=num_layers, d_model=8, n_heads=2, d_ff=12,
                         survival_floor=1.0, input_dim=5, seed=seed)
     enc = Encoder.build(cfg)
-    heads = CTCHeads.shared(CTCHead.build(8, vocab, np.random.default_rng(seed + 1)))
-    return enc, heads
+    head = CTCHead.build(8, vocab, np.random.default_rng(seed + 1))
+    return enc, CTCHeads(head, head)
 
 
 def grads_of(enc, heads, f):
@@ -122,7 +122,7 @@ class TestTotalLoss:
 
     def loss(self, trace, spec, rng=None):
         plan = plan_step(spec, len(trace.states), rng)
-        (breakdown,) = stack_losses(trace, [6], [self.labels], self.heads, plan)
+        (breakdown,) = stack_losses(trace, [self.labels], self.heads, plan)
         return breakdown
 
     def plain_ctc(self):
@@ -182,7 +182,7 @@ class TestTotalLoss:
         rng = np.random.default_rng(5)
         for _ in range(50):
             plan = plan_step(spec, len(trace.states), rng)
-            (bd,) = stack_losses(trace, [6], [self.labels], self.heads, plan)
+            (bd,) = stack_losses(trace, [self.labels], self.heads, plan)
             assert plan.branch in (0, 1)
             seen.add(plan.branch)
             expect = bd.ctc_intermediate[0][1] if plan.branch else bd.ctc_final
@@ -205,8 +205,8 @@ class TestTotalLoss:
         plan = plan_step(spec, 4, np.random.default_rng(9))
         assert isinstance(plan, ObjectivePlan)
         trace = self.trace()
-        (a,) = stack_losses(trace, [6], [self.labels], self.heads, plan)
-        (b,) = stack_losses(trace, [6], [self.labels], self.heads, plan)
+        (a,) = stack_losses(trace, [self.labels], self.heads, plan)
+        (b,) = stack_losses(trace, [self.labels], self.heads, plan)
         assert [p for p, _ in a.ctc_intermediate] == [p for p, _ in b.ctc_intermediate]
 
     def test_infeasible_target_propagates(self):
@@ -214,7 +214,7 @@ class TestTotalLoss:
         trace = self.enc.forward(short)
         spec = IntermediateLossSpec("middle")
         plan = plan_step(spec, 4)
-        assert stack_losses(trace, [1], [(1, 1)], self.heads, plan) == [None]
+        assert stack_losses(trace, [(1, 1)], self.heads, plan) == [None]
         with pytest.raises(InfeasibleTargetError):
             total_loss(trace, (1, 1), spec, self.heads, plan)
 
@@ -235,7 +235,7 @@ class TestTotalLoss:
 
         def f_row():
             row["bd"] = stack_losses(enc.forward(Tensor(stack), lengths=[6, 4]),
-                                     [6, 4], [self.labels, (2,)], heads, plan)[0]
+                                     [self.labels, (2,)], heads, plan)[0]
             return row["bd"].total
         g_alone, g_row = grads_of(enc, heads, f_alone), grads_of(enc, heads, f_row)
         assert alone["bd"].total.item() == pytest.approx(row["bd"].total.item(), rel=1e-12)
@@ -246,9 +246,9 @@ class TestTotalLoss:
 class TestEvalDecode:
     def test_ignores_intermediate_heads(self):
         enc, _ = make_model()
-        shared = CTCHeads.shared(CTCHead.build(8, 3, np.random.default_rng(1)))
-        other = CTCHeads(shared.final,
-                         CTCHead.build(8, 3, np.random.default_rng(2)))
+        head = CTCHead.build(8, 3, np.random.default_rng(1))
+        shared = CTCHeads(head, head)
+        other = CTCHeads(head, CTCHead.build(8, 3, np.random.default_rng(2)))
         x = Tensor(np.random.default_rng(3).normal(size=(1, 7, 5)))
         trace = enc.forward(x)
         assert eval_decode(trace, shared) == eval_decode(trace, other)

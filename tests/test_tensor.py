@@ -208,6 +208,21 @@ class TestBackward:
         with pytest.raises(RuntimeError):
             tape.backward(alone)
 
+    def test_forward_and_backward_write_no_token_to_a_leaf(self):
+        # a leaf is known by its gradient buffer: only recorded outputs
+        # hold the tape's token
+        rng = np.random.default_rng(15)
+        x = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        head = CTCHead.build(2, 2, rng)
+        leaves = [x, head.weight, head.bias]
+        with Tape() as tape:
+            out = head(add(x, x))
+            loss = weighted_sum(out, rng.normal(size=(3, 3)))
+        tape.backward(loss)
+        assert [leaf._tape for leaf in leaves] == [None, None, None]
+        assert out._tape is not None and loss._tape is not None
+        assert all(leaf.grad.any() for leaf in leaves)
+
     def test_record_op_custom_gradient(self):
         p = Tensor([3.0], requires_grad=True)
         with Tape() as tape:
