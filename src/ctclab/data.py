@@ -51,10 +51,6 @@ class SyntheticTaskConfig:
             raise ValueError("vocab 1 with max_duration 1 fits no label of 2 or more "
                              "tokens, so no utterance can be drawn")
 
-    def size_of(self, split: str) -> int:
-        return {"train": self.train_size, "dev": self.dev_size,
-                "test": self.test_size}[split]
-
 
 class Utterance(NamedTuple):
     features: np.ndarray        # (T, input_dim)
@@ -75,7 +71,7 @@ def generate_dataset(cfg: SyntheticTaskConfig, split: str) -> list[Utterance]:
     protos = token_prototypes(cfg)
     rng = np.random.default_rng([cfg.seed, 1 + SPLITS.index(split)])
     utterances = []
-    for _ in range(cfg.size_of(split)):
+    for _ in range(getattr(cfg, f"{split}_size")):
         for _ in range(MAX_DRAWS):
             length = int(rng.integers(cfg.min_label_length, cfg.max_label_length + 1))
             labels = tuple(int(t) for t in rng.integers(1, cfg.vocab + 1, size=length))

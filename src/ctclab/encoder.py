@@ -517,7 +517,8 @@ class Encoder:
             raise ValueError(f"the encoder takes a (B, T, F) stack, got shape {x0.shape}")
         batch, steps = x0.shape[:2]
         lengths = np.full(batch, steps) if lengths is None else np.asarray(lengths)
-        if lengths.shape != (batch,) or not ((1 <= lengths) & (lengths <= steps)).all():
+        if (lengths.shape != (batch,) or not np.issubdtype(lengths.dtype, np.integer)
+                or not ((1 <= lengths) & (lengths <= steps)).all()):
             raise ValueError(f"lengths {lengths.tolist()} do not fit a stack of "
                              f"{batch} rows of {steps} frames")
         padding = Padding.of(lengths, steps, self.dtype)

@@ -42,13 +42,6 @@ import numpy as np
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
-# Stack of at most one recording tape; ops record only while a tape is active.
-_ACTIVE_TAPES: list["Tape"] = []
-
-
-def _active_tape() -> "Tape | None":
-    return _ACTIVE_TAPES[-1] if _ACTIVE_TAPES else None
-
 
 class Tensor:
     """Dense numeric array of rank <= 3, optionally accumulating a gradient.
@@ -110,25 +103,20 @@ class Tape:
     entries hold them all, so no two share an id.
     """
 
+    _active: "Tape | None" = None  # ops record only while a tape is active
+
     def __init__(self):
         self._entries: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
         self._token = object()
 
     def __enter__(self) -> "Tape":
-        if _ACTIVE_TAPES:
+        if Tape._active is not None:
             raise RuntimeError("a Tape is already active; tapes do not nest")
-        _ACTIVE_TAPES.append(self)
+        Tape._active = self
         return self
 
     def __exit__(self, *exc) -> None:
-        _ACTIVE_TAPES.pop()
-
-    def _maybe_record(self, out: Tensor, inputs: tuple[Tensor, ...],
-                      backward_fn: Callable) -> None:
-        token = self._token
-        if any(t._tape is token or t.grad is not None for t in inputs):
-            out._tape = token
-            self._entries.append((out, inputs, backward_fn))
+        Tape._active = None
 
     def backward(self, loss: Tensor) -> None:
         """Propagate d(loss)=1 through the tape, accumulating leaf grads.
@@ -170,9 +158,11 @@ def _finish(data: np.ndarray, inputs: tuple[Tensor, ...],
     out.data = data
     out.grad = None
     out._tape = None
-    tape = _active_tape()
-    if tape is not None:
-        tape._maybe_record(out, inputs, backward_fn)
+    tape = Tape._active
+    if tape is not None and any(t._tape is tape._token or t.grad is not None
+                                for t in inputs):
+        out._tape = tape._token
+        tape._entries.append((out, inputs, backward_fn))
     return out
 
 

@@ -1,9 +1,10 @@
 """Training loop, checkpointing, and evaluation for the synthetic task.
 
 The optimizer is Adam under an inverse-square-root schedule with linear
-warmup (1000 steps) and a peak scaled by d_model**-0.5.  Training runs in
-float32; checkpoints store float32 payloads bit-exactly.  All randomness
-derives from the config seeds, so equal seeds give byte-identical runs.
+warmup (1000 steps) and a peak scaled by d_model**-0.5, on one flat buffer
+of which every parameter is a view.  Training runs in float32; checkpoints
+store float32 payloads bit-exactly.  All randomness derives from the
+config seeds, so equal seeds give byte-identical runs.
 
 Each optimizer step draws its objective plan and then one row of
 stochastic-depth draws per utterance, in batch order.  It sorts its
@@ -74,7 +75,7 @@ class TrainingDiverged(RuntimeError):
 # --- model -------------------------------------------------------------------
 
 class Model:
-    """Encoder plus CTC output heads, with a flat named-parameter view."""
+    """Encoder plus CTC output heads, with their named parameters."""
 
     def __init__(self, encoder: Encoder, heads: CTCHeads):
         self.encoder = encoder
@@ -110,38 +111,49 @@ class Model:
 
 @dataclass
 class OptimizerState:
+    """Adam over one flat buffer of the parameters' values (`data`) and one
+    of their gradients (`grad`).  `init` packs them in `parameters()` order
+    and rebinds each parameter's `data` and `grad` to views of the buffers,
+    so the tape's gradient adds and `load_model_state`'s writes land there.
+    An update keeps its intermediates in `scratch` and the spent `grad`:
+    fresh temporaries of the buffer's size are pages mapped anew each step."""
     step: int
-    first_moment: dict[str, np.ndarray]
-    second_moment: dict[str, np.ndarray]
+    data: np.ndarray
+    grad: np.ndarray
+    first_moment: np.ndarray
+    second_moment: np.ndarray
+    scratch: np.ndarray
     d_model: int
 
     @classmethod
     def init(cls, params: dict[str, Tensor], d_model: int) -> "OptimizerState":
-        return cls(step=0,
-                   first_moment={k: np.zeros_like(p.data) for k, p in params.items()},
-                   second_moment={k: np.zeros_like(p.data) for k, p in params.items()},
-                   d_model=d_model)
+        data = np.concatenate([p.data.ravel() for p in params.values()])
+        grad, m, v, scratch = np.zeros((4, data.size), data.dtype)
+        bounds = np.cumsum([p.data.size for p in params.values()])[:-1]
+        for p, d, g in zip(params.values(), np.split(data, bounds), np.split(grad, bounds)):
+            p.data, p.grad = d.reshape(p.shape), g.reshape(p.shape)
+        return cls(0, data, grad, m, v, scratch, d_model)
 
     def learning_rate(self, step: int) -> float:
         return (PEAK_LR_FACTOR * self.d_model ** -0.5
                 * min(step ** -0.5, step * WARMUP_STEPS ** -1.5))
 
-    def apply_gradients(self, params: dict[str, Tensor]) -> None:
-        """One Adam update from the accumulated grads, which are then reset."""
+    def apply_gradients(self) -> None:
+        """One Adam update, data -= lr (m / c1) / (sqrt(v / c2) + eps), from
+        the accumulated grads, which are then reset."""
         self.step += 1
         lr = self.learning_rate(self.step)
         c1 = 1.0 - ADAM_BETA1 ** self.step
         c2 = 1.0 - ADAM_BETA2 ** self.step
-        for name, p in params.items():
-            g = p.grad
-            m = self.first_moment[name]
-            v = self.second_moment[name]
-            m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
-            v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-            p.zero_grad()
+        g, m, v, t = self.grad, self.first_moment, self.second_moment, self.scratch
+        m *= ADAM_BETA1
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=t)
+        v *= ADAM_BETA2
+        v += np.multiply(np.multiply(1.0 - ADAM_BETA2, g, out=t), g, out=t)
+        denom = np.sqrt(np.divide(v, c2, out=g), out=g)
+        denom += ADAM_EPS
+        self.data -= np.divide(np.multiply(lr, np.divide(m, c1, out=t), out=t), denom, out=t)
+        g.fill(0)
 
 
 # --- checkpoints -------------------------------------------------------------
@@ -316,8 +328,7 @@ def run_training(cfg: RunConfig, out_dir) -> TrainResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     echo = cfg.to_text()
     model = Model.from_run_config(cfg)
-    params = model.parameters()
-    optimizer = OptimizerState.init(params, cfg.encoder.d_model)
+    optimizer = OptimizerState.init(model.parameters(), cfg.encoder.d_model)
     rng = np.random.default_rng([cfg.seed, 100])  # one stream for all step draws
 
     paths = [out_dir / "epoch_0.ckpt"]
@@ -346,7 +357,7 @@ def run_training(cfg: RunConfig, out_dir) -> TrainResult:
             batch_losses = [b.total.item() for b in breakdowns if b is not None]
             if not batch_losses:
                 continue
-            optimizer.apply_gradients(params)
+            optimizer.apply_gradients()
             mean_loss = float(np.mean(batch_losses))
             if not np.isfinite(mean_loss):
                 raise TrainingDiverged(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import struct
@@ -52,6 +53,12 @@ TINY_CONFORMER_CONFIG = (TINY_CONFIG.replace("train.epochs=1", "train.epochs=2")
 # its metrics.log, pinned from the run whose Conformer layers were composed
 # from tensor primitives; the fused blocks keep every float32 bit of it
 GOLDEN_TINY_CONFORMER_METRICS = "1\t10.918310\t0.593750\n2\t10.935892\t0.625000\n"
+# sha256 of the averaged.ckpt each of the two runs writes.  A change that
+# moves a float32 bit of training re-pins both and says so in CHANGES.md.
+GOLDEN_TINY_AVERAGED_SHA256 = \
+    "cbe5e5e8eb5c344fc8bf138466e4558f3e6b6ce1d3c6fa9d62843a0add203701"
+GOLDEN_TINY_CONFORMER_AVERAGED_SHA256 = \
+    "1aaa5900cd703d028fff4d723d1bd45193445452bfd5ad4ac67f28915df19dee"
 
 
 @pytest.fixture
@@ -61,6 +68,10 @@ def tiny_run(tmp_path_factory):
     config.write_text(TINY_CONFIG)
     assert main(["train", "--config", str(config), "--out", str(out)]) == 0
     return out
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -97,12 +108,14 @@ class TestTrain:
         assert (tiny_run / "averaged.ckpt").exists()
         log = (tiny_run / "metrics.log").read_text().strip().split("\t")
         assert log[0] == "1" and len(log) == 3
+        assert sha256(tiny_run / "averaged.ckpt") == GOLDEN_TINY_AVERAGED_SHA256
 
     def test_golden_conformer_metrics_pinned_seed(self, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text(TINY_CONFORMER_CONFIG)
         assert main(["train", "--config", str(config), "--out", str(tmp_path)]) == 0
         assert (tmp_path / "metrics.log").read_text() == GOLDEN_TINY_CONFORMER_METRICS
+        assert sha256(tmp_path / "averaged.ckpt") == GOLDEN_TINY_CONFORMER_AVERAGED_SHA256
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["train", "--config", str(tmp_path / "none.cfg"),
@@ -175,12 +188,18 @@ class TestTrain:
                                                          capsys):
         # the last of the epoch's four updates leaves a finite weight so
         # large that the dev decode's forward overflows
-        update = OptimizerState.apply_gradients
+        init, update = OptimizerState.init, OptimizerState.apply_gradients
+        params = {}
 
-        def poisoning(state, params):
-            update(state, params)
+        def recording(packed, d_model):
+            params.update(packed)
+            return init(packed, d_model)
+
+        def poisoning(state):
+            update(state)
             if state.step == 4:
                 params["encoder.layer1.ffn.w1"].data[...] = 3e38
+        monkeypatch.setattr(OptimizerState, "init", recording)
         monkeypatch.setattr(OptimizerState, "apply_gradients", poisoning)
         config = tmp_path / "run.cfg"
         config.write_text(TINY_CONFIG)

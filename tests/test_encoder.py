@@ -488,6 +488,14 @@ class TestStacked:
         assert enc.forward(feats, lengths=[6, 2, 4]).lengths == [6, 2, 4]
         assert enc.forward(feats).lengths == [6, 6, 6]
 
+    @pytest.mark.parametrize("lengths", [[0, 6], [6, 7], [6], [6.0, 4.5]],
+                             ids=["empty_row", "too_long", "one_row_short", "fractional"])
+    def test_lengths_that_do_not_fit_rejected(self, lengths):
+        enc = Encoder.build(tiny_config())
+        feats = Tensor(np.ones((2, 6, 5)))
+        with pytest.raises(ValueError, match="do not fit"):
+            enc.forward(feats, lengths=lengths)
+
 
 class TestKeptRows:
     """A train stack runs each layer on the rows that keep it; the others

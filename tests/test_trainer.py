@@ -267,7 +267,7 @@ class TestTraining:
         for _ in range(50):
             plan = plan_step(spec, layers, rng)
             step_losses(model, train, plan, rng.random((len(train), layers)))
-            optimizer.apply_gradients(params)
+            optimizer.apply_gradients()
         assert eval_loss() < 0.5 * before
 
     def test_infeasible_utterances_skipped_and_counted(self, tmp_path, monkeypatch):
@@ -447,7 +447,7 @@ class TestBenchHooks:
 
         def counted(data, inputs, backward_fn):
             out = finish(data, inputs, backward_fn)
-            finished.append((out, ctclab.tensor._active_tape()))
+            finished.append((out, ctclab.tensor.Tape._active))
             return out
         monkeypatch.setattr(ctclab.objective, "ctc_loss", sampled)
         monkeypatch.setattr(ctclab.tensor, "_finish", counted)
@@ -481,7 +481,7 @@ class TestEvaluate:
         for _ in range(250):
             plan = plan_step(spec, layers, rng)
             step_losses(model, data, plan, rng.random((len(data), layers)))
-            optimizer.apply_gradients(params)
+            optimizer.apply_gradients()
         result = evaluate_model(model, data)
         assert result.rate == 0.0
         assert result.decodes == [utt.labels for utt in data]
@@ -572,7 +572,8 @@ class TestModelTrace:
 
 class TestOptimizer:
     def test_learning_rate_schedule_shape(self):
-        state = OptimizerState.init({}, d_model=64)
+        state = OptimizerState.init(Model.from_run_config(tiny_cfg()).parameters(),
+                                    d_model=64)
         warmup = [state.learning_rate(s) for s in (1, 500, 1000)]
         assert warmup[0] < warmup[1] < warmup[2]
         after = [state.learning_rate(s) for s in (1000, 2000, 4000)]
@@ -581,13 +582,73 @@ class TestOptimizer:
         assert state.learning_rate(1000) == pytest.approx(
             ctclab.trainer.PEAK_LR_FACTOR * 64 ** -0.5 * 1000 ** -0.5)
 
-    def test_moment_shapes_match_parameters(self):
-        model = Model.from_run_config(tiny_cfg())
-        params = model.parameters()
+    def test_init_packs_the_parameters_as_views_in_order(self):
+        params = Model.from_run_config(tiny_cfg()).parameters()
+        before = {name: p.data.copy() for name, p in params.items()}
         state = OptimizerState.init(params, 16)
+
+        def address(a):
+            return a.__array_interface__["data"][0]
+        # each view starts where the one before it ends, so none overlap
+        offset = 0
         for name, p in params.items():
-            assert state.first_moment[name].shape == p.data.shape
-            assert state.second_moment[name].shape == p.data.shape
+            for view, buffer in ((p.data, state.data), (p.grad, state.grad)):
+                assert np.shares_memory(view, buffer) and view.flags.c_contiguous
+                assert address(view) - address(buffer) == offset * buffer.itemsize
+            assert p.data.shape == before[name].shape
+            assert p.data.tobytes() == before[name].tobytes()
+            offset += p.data.size
+        assert offset == state.data.size == state.grad.size
+        assert not state.grad.any()
+
+    def test_load_model_state_writes_through_the_views(self):
+        model = Model.from_run_config(tiny_cfg())
+        state = OptimizerState.init(model.parameters(), 16)
+        ckpt = checkpoint_from_model(Model.from_run_config(tiny_cfg("train.seed=6\n")), "")
+        stored = b"".join(a.tobytes() for a in ckpt.params.values())
+        assert state.data.tobytes() != stored
+        load_model_state(model, ckpt)
+        assert state.data.tobytes() == stored
+
+    def test_apply_gradients_zeroes_every_grad(self):
+        params = Model.from_run_config(tiny_cfg()).parameters()
+        state = OptimizerState.init(params, 16)
+        rng = np.random.default_rng(8)
+        for p in params.values():
+            p.grad[...] = rng.normal(size=p.shape)
+        state.apply_gradients()
+        assert not state.grad.any()
+        assert not any(p.grad.any() for p in params.values())
+
+    @pytest.mark.parametrize("extra", ["", "model.separate_heads=true\n"])
+    def test_flat_update_matches_a_loop_over_parameters_bitwise(self, extra):
+        cfg = RunConfig.parse(extra)
+        params = Model.from_run_config(cfg).parameters()
+        weights = {name: p.data.copy() for name, p in params.items()}
+        moments = {name: (np.zeros_like(w), np.zeros_like(w)) for name, w in weights.items()}
+        state = OptimizerState.init(params, cfg.encoder.d_model)
+        beta1, beta2 = ctclab.trainer.ADAM_BETA1, ctclab.trainer.ADAM_BETA2
+        rng = np.random.default_rng(12)
+        for step in (1, 2, 3):
+            grads = {name: rng.normal(scale=0.1, size=w.shape).astype(np.float32)
+                     for name, w in weights.items()}
+            for name, p in params.items():
+                p.grad += grads[name]
+            state.apply_gradients()
+            # the per-parameter loop the flat update replaced, term for term
+            lr = state.learning_rate(step)
+            c1 = 1.0 - beta1 ** step
+            c2 = 1.0 - beta2 ** step
+            for name, w in weights.items():
+                g = grads[name]
+                m, v = moments[name]
+                m *= beta1
+                m += (1.0 - beta1) * g
+                v *= beta2
+                v += (1.0 - beta2) * g * g
+                w -= lr * (m / c1) / (np.sqrt(v / c2) + ctclab.trainer.ADAM_EPS)
+            for name, p in params.items():
+                assert p.data.tobytes() == weights[name].tobytes(), (step, name)
 
     def test_separate_heads_config(self):
         model = Model.from_run_config(tiny_cfg("model.separate_heads=true\n"))
